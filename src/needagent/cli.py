@@ -24,7 +24,8 @@ from needagent.harness import (
     ConfigError,
     RunConfig,
     config_from_dict,
-    metrics_from_csv,
+    profile_from_dict,
+    read_metrics,
     run,
     snapshot_from_run,
     sweep,
@@ -71,21 +72,13 @@ def _load_profiles(path: str) -> list[tuple[str, PriorityProfile]]:
     for i, item in enumerate(data):
         if not isinstance(item, dict):
             raise ConfigError(f"profiles[{i}]: expected an object")
-        label = item.get("label")
+        fields = dict(item)
+        label = fields.pop("label", None)
         if not isinstance(label, str) or not label:
             raise ConfigError(f"profiles[{i}].label: expected a non-empty string")
-        weights = item.get("weights")
-        if not isinstance(weights, list) or len(weights) != 4:
-            raise ConfigError(f"profiles[{i}].weights: expected a list of 4 numbers")
-        energy_weight = item.get("energy_weight", 0.0)
-        try:
-            profile = PriorityProfile(
-                weights=tuple(float(w) for w in weights),
-                energy_weight=float(energy_weight),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"profiles[{i}]: {exc}") from exc
-        profiles.append((label, profile))
+        if "weights" not in fields:
+            raise ConfigError(f"profiles[{i}].weights: missing")
+        profiles.append((label, profile_from_dict(fields, f"profiles[{i}]")))
     return profiles
 
 
@@ -140,10 +133,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runs_csv, summary_csv = sweep_to_csv(runs, summaries)
     runs_path = os.path.join(out_dir, "sweep_runs.csv")
     summary_path = os.path.join(out_dir, "sweep_summary.csv")
-    with open(runs_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(runs_csv)
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(summary_csv)
+    for path, text in ((runs_path, runs_csv), (summary_path, summary_csv)):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     for s in summaries:
         print(
             f"profile={s.profile_label} runs={s.runs} "
@@ -177,9 +169,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    with open(args.metrics, "r", encoding="utf-8") as fh:
-        rows = metrics_from_csv(fh.read())
-    write_svg(rows, args.out)
+    write_svg(read_metrics(args.metrics), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -227,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:

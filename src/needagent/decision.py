@@ -61,18 +61,9 @@ class Decision:
     explored: bool
 
 
-def score(utility: float, probability: float, policy: DecisionPolicy) -> float:
-    """The scalar a prospect is ranked by under the policy mode.
-
-    In lexicographic mode the scalar is the utility alone; probability acts
-    as a tie key during selection, not as part of the score.
-    """
-    if policy.mode == MODE_PROSPECTED:
-        return utility * probability
-    return utility
-
-
 def _rank(prospect: Prospect, policy: DecisionPolicy) -> tuple[float, ...]:
+    # The first entry is the prospect's score; lexicographic mode adds
+    # probability as a tie key, not as part of the score.
     if policy.mode == MODE_PROSPECTED:
         return (prospect.utility * prospect.probability,)
     if policy.mode == MODE_UTILITY_ONLY:
@@ -145,19 +136,16 @@ def decide(
         candidates = action_candidates(schema, constraints)
         chosen = candidates[rng.randrange(len(candidates))]
         expected = next((p for p in valid if p.state.actions == chosen), None)
-        expected_score = 0.0
-        if expected is not None:
-            expected_score = score(expected.utility, expected.probability, policy)
         return Decision(
             chosen_action=chosen,
             expected_state=None if expected is None else expected.state,
-            score=expected_score,
+            score=0.0 if expected is None else _rank(expected, policy)[0],
             explored=True,
         )
     best = _best(valid, policy)
     return Decision(
         chosen_action=best.state.actions,
         expected_state=best.state,
-        score=score(best.utility, best.probability, policy),
+        score=_rank(best, policy)[0],
         explored=False,
     )

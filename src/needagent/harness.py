@@ -12,8 +12,10 @@ import hashlib
 import json
 import math
 import statistics
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from random import Random
 from typing import Sequence
 
@@ -80,7 +82,6 @@ class RunConfig:
             priority=self.profile,
             utility_step=self.utility_step,
             predictability_weight=self.predictability_weight,
-            energy_weight=self.profile.energy_weight,
         )
 
 
@@ -89,22 +90,111 @@ def _check(condition: bool, fieldname: str, message: str) -> None:
         raise ConfigError(f"{fieldname}: {message}")
 
 
-def _number(value, fieldname: str) -> float:
-    _check(isinstance(value, (int, float)) and not isinstance(value, bool), fieldname, "expected a number")
-    return value
+def _number(kind: type, low: float = -math.inf, high: float = math.inf, low_open: bool = False):
+    """Parser for a finite JSON number, read as ``kind`` (int or float), in
+    ``[low, high]`` or, with ``low_open``, in ``(low, high]``."""
+    expected = "an integer" if kind is int else "a finite number"
+    bounds = f"must be >= {low}"
+    if high < math.inf:
+        bounds = f"must be in {'(' if low_open else '['}{low}, {high}]"
+
+    def parse(value, fieldname: str):
+        number = isinstance(value, (kind, int)) and not isinstance(value, bool)
+        finite = number and (kind is int or abs(value) <= sys.float_info.max)
+        _check(finite, fieldname, f"expected {expected}")
+        value = kind(value)
+        _check(low < value <= high if low_open else low <= value <= high, fieldname, bounds)
+        return value
+
+    return parse
 
 
-def _integer(value, fieldname: str) -> int:
-    _check(isinstance(value, int) and not isinstance(value, bool), fieldname, "expected an integer")
-    return value
+def _valid(test, message: str):
+    """Parser that keeps a value passing ``test`` and rejects anything else."""
+
+    def parse(value, fieldname: str):
+        _check(test(value), fieldname, message)
+        return value
+
+    return parse
 
 
-def _section(data: dict, name: str, allowed: tuple[str, ...]) -> dict:
-    section = data.get(name, {})
-    _check(isinstance(section, dict), name, "expected an object")
-    for key in section:
-        _check(key in allowed, f"{name}.{key}", "unknown field")
-    return section
+def _optional(parse):
+    return lambda value, fieldname: None if value is None else parse(value, fieldname)
+
+
+def _choice(options: tuple[str, ...]):
+    return _valid(lambda value: value in options, f"expected one of {list(options)}")
+
+
+def _weights(value, fieldname: str) -> tuple[float, ...]:
+    shaped = isinstance(value, (list, tuple)) and len(value) == 4
+    _check(shaped, fieldname, "expected a list of 4 numbers")
+    weight = _number(float, 0)
+    return tuple(weight(w, f"{fieldname}[{i}]") for i, w in enumerate(value))
+
+
+# One row per config field: (config-file path, RunConfig attribute, parser).
+# A dotted path is a field inside a section object; a dotted attribute is a
+# field of a nested record.  Absent fields keep their ``RunConfig()`` value.
+_FIELDS = (
+    ("seed", "seed", _number(int)),
+    ("ticks", "ticks", _number(int, 0)),
+    ("board.width", "board.width", _number(int)),
+    ("board.height", "board.height", _number(int)),
+    ("board.racket_width", "board.racket_width", _number(int)),
+    ("board.feedback_delay", "board.feedback_delay", _number(int)),
+    ("board.need_levels", "board.need_levels", _number(int)),
+    ("profile.weights", "profile.weights", _weights),
+    ("profile.energy_weight", "profile.energy_weight", _number(float, 0)),
+    ("strategy", "strategy", _choice(STRATEGIES)),
+    ("window_size", "window_size", _number(int, 1)),
+    ("policy.mode", "policy_mode", _choice(MODES)),
+    ("policy.exploration_rate", "exploration_rate", _number(float, 0, 1)),
+    ("learning.utility_step", "utility_step", _number(float, 0, 1, low_open=True)),
+    ("learning.predictability_weight", "predictability_weight", _number(float, 0)),
+    ("learning.successor_keying", "successor_keying", _choice(SUCCESSOR_KEYINGS)),
+    ("gc.horizon", "gc_horizon", _optional(_number(float, 0))),
+    ("gc.min_trust", "gc_min_trust", _number(int, 0)),
+    ("gc.interval", "gc_interval", _number(int, 0)),
+    ("out_dir", "out_dir", _optional(_valid(lambda v: isinstance(v, str), "expected a string"))),
+)
+
+
+def _read(data, rows, where: str) -> dict:
+    """Parsed values of the fields present in ``data``, keyed by attribute.
+    A dotted row path descends into a section; unknown keys are errors."""
+    _check(isinstance(data, dict), where or "config", "expected an object")
+    values = {}
+    for key, value in data.items():
+        name = f"{where}.{key}" if where else key
+        inner = [(path.partition(".")[2], attr, parse) for path, attr, parse in rows
+                 if path.partition(".")[0] == key]
+        _check(bool(inner), name, "unknown field")
+        if inner[0][0]:
+            values.update(_read(value, inner, name))
+        else:
+            values[inner[0][1]] = inner[0][2](value, name)
+    return values
+
+
+def _build(defaults, values: dict):
+    """``defaults`` with ``values`` replaced; attribute ``a.b`` is field ``b`` of record ``a``."""
+    nested: dict[str, dict] = {}
+    for attr in [attr for attr in values if "." in attr]:
+        outer, _, inner = attr.partition(".")
+        nested.setdefault(outer, {})[inner] = values.pop(attr)
+    for outer, fields in nested.items():
+        values[outer] = replace(getattr(defaults, outer), **fields)
+    return replace(defaults, **values)
+
+
+def profile_from_dict(data, fieldname: str) -> PriorityProfile:
+    """Validate one priority profile, the config's ``profile`` section or one
+    ``--profiles`` entry, with the table's profile rows."""
+    rows = [(path.partition(".")[2], attr.partition(".")[2], parse)
+            for path, attr, parse in _FIELDS if path.startswith("profile.")]
+    return _build(RunConfig().profile, _read(data, rows, fieldname))
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -112,158 +202,22 @@ def config_from_dict(data: dict) -> RunConfig:
 
     Raises :class:`ConfigError` naming the offending field.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("config: expected an object")
-    allowed_top = (
-        "seed",
-        "ticks",
-        "board",
-        "profile",
-        "strategy",
-        "window_size",
-        "policy",
-        "learning",
-        "gc",
-        "out_dir",
-    )
-    for key in data:
-        _check(key in allowed_top, key, "unknown field")
-
-    seed = _integer(data.get("seed", 0), "seed")
-    ticks = _integer(data.get("ticks", 2000), "ticks")
-    _check(ticks >= 0, "ticks", "must be >= 0")
-
-    board_data = _section(
-        data, "board", ("width", "height", "racket_width", "feedback_delay", "need_levels")
-    )
-    defaults = BoardConfig()
     try:
-        board = BoardConfig(
-            width=_integer(board_data.get("width", defaults.width), "board.width"),
-            height=_integer(board_data.get("height", defaults.height), "board.height"),
-            racket_width=_integer(
-                board_data.get("racket_width", defaults.racket_width), "board.racket_width"
-            ),
-            feedback_delay=_integer(
-                board_data.get("feedback_delay", defaults.feedback_delay),
-                "board.feedback_delay",
-            ),
-            need_levels=_integer(
-                board_data.get("need_levels", defaults.need_levels), "board.need_levels"
-            ),
-        )
+        return _build(RunConfig(), _read(data, _FIELDS, ""))
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
 
-    profile_data = _section(data, "profile", ("weights", "energy_weight"))
-    weights = profile_data.get("weights", [1.0, 0.25, 0.1, 0.1])
-    _check(isinstance(weights, (list, tuple)), "profile.weights", "expected a list")
-    _check(len(weights) == 4, "profile.weights", "expected exactly 4 weights")
-    weights = tuple(
-        float(_number(w, f"profile.weights[{i}]")) for i, w in enumerate(weights)
-    )
-    for i, w in enumerate(weights):
-        _check(w >= 0, f"profile.weights[{i}]", "must be >= 0")
-    energy_weight = float(_number(profile_data.get("energy_weight", 0.0), "profile.energy_weight"))
-    _check(energy_weight >= 0, "profile.energy_weight", "must be >= 0")
-    profile = PriorityProfile(weights=weights, energy_weight=energy_weight)
-
-    strategy = data.get("strategy", STRATEGY_TRANSITION_MAP)
-    _check(strategy in STRATEGIES, "strategy", f"expected one of {list(STRATEGIES)}")
-    window_size = _integer(data.get("window_size", 1), "window_size")
-    _check(window_size >= 1, "window_size", "must be >= 1")
-
-    policy_data = _section(data, "policy", ("mode", "exploration_rate"))
-    policy_mode = policy_data.get("mode", "prospected")
-    _check(policy_mode in MODES, "policy.mode", f"expected one of {list(MODES)}")
-    exploration_rate = float(
-        _number(policy_data.get("exploration_rate", 0.1), "policy.exploration_rate")
-    )
-    _check(0.0 <= exploration_rate <= 1.0, "policy.exploration_rate", "must be in [0, 1]")
-
-    learning_data = _section(
-        data, "learning", ("utility_step", "predictability_weight", "successor_keying")
-    )
-    utility_step = float(_number(learning_data.get("utility_step", 0.1), "learning.utility_step"))
-    _check(0.0 < utility_step <= 1.0, "learning.utility_step", "must be in (0, 1]")
-    predictability_weight = float(
-        _number(
-            learning_data.get("predictability_weight", 0.0), "learning.predictability_weight"
-        )
-    )
-    _check(predictability_weight >= 0, "learning.predictability_weight", "must be >= 0")
-    successor_keying = learning_data.get("successor_keying", SUCCESSOR_KEYING_STATE)
-    _check(
-        successor_keying in SUCCESSOR_KEYINGS,
-        "learning.successor_keying",
-        f"expected one of {list(SUCCESSOR_KEYINGS)}",
-    )
-
-    gc_data = _section(data, "gc", ("horizon", "min_trust", "interval"))
-    horizon = gc_data.get("horizon", None)
-    if horizon is not None:
-        horizon = float(_number(horizon, "gc.horizon"))
-        _check(horizon >= 0, "gc.horizon", "must be >= 0")
-    min_trust = _integer(gc_data.get("min_trust", 1), "gc.min_trust")
-    _check(min_trust >= 0, "gc.min_trust", "must be >= 0")
-    interval = _integer(gc_data.get("interval", 0), "gc.interval")
-    _check(interval >= 0, "gc.interval", "must be >= 0")
-
-    out_dir = data.get("out_dir", None)
-    _check(out_dir is None or isinstance(out_dir, str), "out_dir", "expected a string or null")
-
-    return RunConfig(
-        seed=seed,
-        ticks=ticks,
-        board=board,
-        profile=profile,
-        strategy=strategy,
-        window_size=window_size,
-        policy_mode=policy_mode,
-        exploration_rate=exploration_rate,
-        utility_step=utility_step,
-        predictability_weight=predictability_weight,
-        successor_keying=successor_keying,
-        gc_horizon=horizon,
-        gc_min_trust=min_trust,
-        gc_interval=interval,
-        out_dir=out_dir,
-    )
-
 
 def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "ticks": config.ticks,
-        "board": {
-            "width": config.board.width,
-            "height": config.board.height,
-            "racket_width": config.board.racket_width,
-            "feedback_delay": config.board.feedback_delay,
-            "need_levels": config.board.need_levels,
-        },
-        "profile": {
-            "weights": list(config.profile.weights),
-            "energy_weight": config.profile.energy_weight,
-        },
-        "strategy": config.strategy,
-        "window_size": config.window_size,
-        "policy": {
-            "mode": config.policy_mode,
-            "exploration_rate": config.exploration_rate,
-        },
-        "learning": {
-            "utility_step": config.utility_step,
-            "predictability_weight": config.predictability_weight,
-            "successor_keying": config.successor_keying,
-        },
-        "gc": {
-            "horizon": config.gc_horizon,
-            "min_trust": config.gc_min_trust,
-            "interval": config.gc_interval,
-        },
-        "out_dir": config.out_dir,
-    }
+    """Every field of ``config``, shaped like a config file."""
+    out: dict = {}
+    for path, attr, _ in _FIELDS:
+        section, _, key = path.rpartition(".")
+        value = attrgetter(attr)(config)
+        if isinstance(value, tuple):
+            value = list(value)
+        (out.setdefault(section, {}) if section else out)[key] = value
+    return out
 
 
 def config_fingerprint(config: RunConfig) -> str:
@@ -490,31 +444,30 @@ def metrics_to_csv(rows: Sequence[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(column: str, cell: str):
+    """One metrics cell as its column's type; ValueError if it is not one."""
+    value = (float if column in _FLOAT_COLUMNS else int)(cell)
+    if not math.isfinite(value) or (column == "explored" and value not in (0, 1)):
+        raise ValueError(cell)
+    return value == 1 if column == "explored" else value
+
+
 def metrics_from_csv(text: str) -> list[MetricsRow]:
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
+    lines = [(number, line) for number, line in enumerate(text.split("\n"), 1) if line]
+    if not lines or lines[0][1] != ",".join(CSV_COLUMNS):
         raise ConfigError("metrics csv: unexpected header")
     rows = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise ConfigError(f"metrics csv: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-        values = dict(zip(CSV_COLUMNS, cells))
-        rows.append(
-            MetricsRow(
-                tick=int(values["tick"]),
-                happy=float(values["happy"]),
-                sad=float(values["sad"]),
-                novelty=float(values["novelty"]),
-                expectedness=float(values["expectedness"]),
-                feedback=float(values["feedback"]),
-                cumulative_hits=int(values["cumulative_hits"]),
-                cumulative_misses=int(values["cumulative_misses"]),
-                rolling_hit_rate=float(values["rolling_hit_rate"]),
-                explored=values["explored"] == "1",
-                energy=float(values["energy"]),
-            )
-        )
+            raise ConfigError(f"metrics csv line {number}: {len(cells)} of {len(CSV_COLUMNS)} cells")
+        values = {}
+        for column, cell in zip(CSV_COLUMNS, cells):
+            try:
+                values[column] = _csv_cell(column, cell)
+            except ValueError:
+                raise ConfigError(f"metrics csv line {number}, {column}: bad value {cell!r}") from None
+        rows.append(MetricsRow(**values))
     return rows
 
 

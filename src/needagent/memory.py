@@ -88,9 +88,6 @@ class Segment:
     def closed(self) -> bool:
         return self.terminal_reinforcement is not None
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass(frozen=True)
 class HistoryWindow:
@@ -151,46 +148,6 @@ class EpisodeLog:
 
     def __iter__(self) -> Iterator[TransitionRecord]:
         return iter(self._records)
-
-    def window(self, length: int) -> HistoryWindow:
-        """The most recent ``min(length, len(log))`` recorded states, oldest first."""
-        if length < 1:
-            raise UsageError(f"window length must be >= 1, got {length}")
-        states = tuple(rec.state for rec in self._records[-length:])
-        return HistoryWindow(length, states)
-
-    def close_segment(self) -> Segment:
-        """The latest closed segment, or an empty open segment if none exists.
-
-        The closed segment ends at the last record with nonzero explicit
-        feedback; records after it belong to the still-open tail and are not
-        returned.
-        """
-        end = None
-        for i in range(len(self._records) - 1, -1, -1):
-            if self._records[i].reinforcement_observed != 0:
-                end = i
-                break
-        if end is None:
-            return Segment(records=(), terminal_reinforcement=None)
-        start = end
-        while start > 0 and self._records[start - 1].reinforcement_observed == 0:
-            start -= 1
-        records = tuple(self._records[start : end + 1])
-        return Segment(records=records, terminal_reinforcement=records[-1].reinforcement_observed)
-
-    def segments(self) -> list[Segment]:
-        """All closed segments in order; the open tail is not included."""
-        out: list[Segment] = []
-        chunk: list[TransitionRecord] = []
-        for rec in self._records:
-            chunk.append(rec)
-            if rec.reinforcement_observed != 0:
-                out.append(
-                    Segment(records=tuple(chunk), terminal_reinforcement=rec.reinforcement_observed)
-                )
-                chunk = []
-        return out
 
     def open_tail(self) -> tuple[TransitionRecord, ...]:
         """Records after the last explicit feedback event (possibly empty)."""
@@ -398,4 +355,8 @@ def save_snapshot(snap: MemorySnapshot, path: str) -> None:
 
 def load_snapshot(path: str) -> MemorySnapshot:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_snapshot(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"not UTF-8 text: {exc}") from exc
+    return loads_snapshot(text)

@@ -51,13 +51,13 @@ class LearningParams:
 
     ``utility_step`` is the blend rate in ``(0, 1]``: 1 overwrites, smaller
     values average.  ``predictability_weight`` rewards transitions that match
-    the agent's own prediction; ``energy_weight`` charges for effort.
+    the agent's own prediction; the profile's ``energy_weight`` charges for
+    effort.
     """
 
     priority: PriorityProfile
     utility_step: float = 1.0
     predictability_weight: float = 0.0
-    energy_weight: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.utility_step <= 1.0:
@@ -127,9 +127,6 @@ class TransitionModel:
     # queries
     # ------------------------------------------------------------------
 
-    def history_known(self, history: HistoryWindow) -> bool:
-        return state_key(history.states) in self.evidence
-
     def probabilities(self, history_key: str) -> dict[str, float]:
         """Empirical successor distribution for one history row."""
         row = self.evidence.get(history_key)
@@ -181,11 +178,6 @@ class TransitionModel:
         return model
 
 
-def probability(model: TransitionModel, history_key: str, successor_key: str) -> float:
-    """Evidence share of one successor among everything seen after a history."""
-    return model.probabilities(history_key).get(successor_key, 0.0)
-
-
 def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[Prospect]:
     """All recorded successors of the history with utility and probability.
 
@@ -229,7 +221,7 @@ def _l_value(
     next_state: StateVector,
     energy: float,
 ) -> float:
-    value = explicit_term - params.energy_weight * energy
+    value = explicit_term - params.priority.energy_weight * energy
     if predicted is not None:
         value += params.predictability_weight * (1.0 - state_distance(predicted, next_state))
     return value
@@ -281,13 +273,6 @@ def novelty(model: TransitionModel, state: StateVector) -> float:
     as a history head or successor; 1 for a never-seen state, falling toward 0."""
     n = model.state_seen.get(state_key([state]), 0)
     return 1.0 / (1.0 + n)
-
-
-def expectedness(predicted: StateVector | None, actual: StateVector) -> float:
-    """Similarity of prediction and outcome; 0 when nothing was predicted."""
-    if predicted is None:
-        return 0.0
-    return 1.0 - state_distance(predicted, actual)
 
 
 # ======================================================================

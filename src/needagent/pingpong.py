@@ -25,7 +25,6 @@ state, so revisited situations produce identical state keys.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
 from typing import Callable
@@ -48,7 +47,6 @@ SAD_DECAY_FACTOR = 0.5
 
 # Velocity components are +/-1; feelings carry them as codes 0/1.
 _DIR_CODE = {-1: 0, 1: 1}
-_CODE_DIR = {0: -1, 1: 1}
 
 EVENT_HIT = "hit"
 EVENT_MISS = "miss"
@@ -127,40 +125,7 @@ class EnvStep:
     event: str | None
 
 
-class Environment(ABC):
-    """Contract between the harness and any playable world."""
-
-    @abstractmethod
-    def schema(self) -> StateSchema: ...
-
-    @abstractmethod
-    def constraints(self) -> ConstraintMatrices: ...
-
-    @abstractmethod
-    def action_cost(self) -> ActionCost: ...
-
-    @abstractmethod
-    def reset(self, seed: int) -> StateVector:
-        """Start an episode; returns the initial sensed state at tick 0."""
-
-    @abstractmethod
-    def step(
-        self,
-        action: tuple[bool, ...],
-        predicted: StateVector | None = None,
-        novelty: Callable[[StateVector], float] | None = None,
-    ) -> EnvStep:
-        """Advance one tick with the committed action.
-
-        ``predicted`` is the agent's expectation for the resulting state and
-        only feeds the expectedness need channel.  ``novelty`` scores how
-        fresh a candidate state is (1 = never seen); the harness passes the
-        world model's familiarity measure here.  Without it the environment
-        falls back to its own visit counter.
-        """
-
-
-class PingPong(Environment):
+class PingPong:
     """The concrete grid world.  Deterministic given seed and action sequence."""
 
     def __init__(self, config: BoardConfig = BoardConfig()) -> None:
@@ -176,12 +141,10 @@ class PingPong(Environment):
     def constraints(self) -> ConstraintMatrices:
         return self._constraints
 
-    def action_cost(self) -> ActionCost:
-        return self._cost
-
     # ------------------------------------------------------------------
 
     def reset(self, seed: int) -> StateVector:
+        """Start an episode; returns the initial sensed state at tick 0."""
         self._rng = Random(seed)
         self._tick = 0
         self._serve()
@@ -205,6 +168,14 @@ class PingPong(Environment):
         predicted: StateVector | None = None,
         novelty: Callable[[StateVector], float] | None = None,
     ) -> EnvStep:
+        """Advance one tick with the committed action.
+
+        ``predicted`` is the agent's expectation for the resulting state and
+        only feeds the expectedness need channel.  ``novelty`` scores how
+        fresh a candidate state is (1 = never seen); the harness passes the
+        world model's familiarity measure here.  Without it the environment
+        falls back to its own visit counter.
+        """
         if self._rng is None:
             raise SchemaError("environment must be reset before stepping")
         if len(action) != len(ACTION_NAMES):

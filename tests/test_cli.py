@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from needagent.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, OUT_DIR_ENV, main
+from needagent.harness import CSV_COLUMNS
 
 
 def write_json(path, payload):
@@ -26,7 +27,7 @@ def profiles_path(tmp_path):
     return write_json(
         tmp_path / "profiles.json",
         [
-            {"label": "skewed", "weights": [1.0, 0.25, 0.1, 0.1]},
+            {"label": "skewed", "weights": [1.0, 0.25, 0.1, 0.1], "energy_weight": 0.5},
             {"label": "even", "weights": [1.0, 1.0, 0.1, 0.1]},
         ],
     )
@@ -74,6 +75,13 @@ def test_run_rejects_invalid_json(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": "\xff"}')  # 0xff never occurs in UTF-8
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_run_reports_a_missing_config_as_an_io_error(tmp_path, capsys):
@@ -173,6 +181,13 @@ def test_replay_reports_malformed_snapshots_as_io_errors(tmp_path, capsys):
     assert "snapshot error" in capsys.readouterr().err
 
 
+def test_replay_reports_a_snapshot_that_is_not_utf8_as_a_snapshot_error(tmp_path, capsys):
+    path = tmp_path / "snapshot.json"
+    path.write_bytes(b'{"version": "\xff"}')
+    assert main(["replay", "--snapshot", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("snapshot error:")
+
+
 def test_replay_reports_a_missing_snapshot_as_an_io_error(tmp_path):
     assert main(["replay", "--snapshot", str(tmp_path / "nope.json")]) == EXIT_IO
 
@@ -267,6 +282,43 @@ def test_sweep_rejects_bad_profile_files(tmp_path, payload, capsys):
     assert capsys.readouterr().err.startswith("config error")
 
 
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        ({"weights": [-1, "NaN", 0, 0]}, "profiles[1].weights[0]"),
+        ({"weights": [1, 1, 1, 1], "energy_weight": "-inf"}, "profiles[1].energy_weight"),
+        ({"weights": [1, 1, 1, 1], "bogus": 3}, "profiles[1].bogus"),
+        ({}, "profiles[1].weights"),
+    ],
+)
+def test_sweep_profile_errors_name_the_entry(tmp_path, entry, field, capsys):
+    config = write_json(tmp_path / "config.json", {"ticks": 10})
+    profiles = write_json(
+        tmp_path / "profiles.json",
+        [{"label": "ok", "weights": [1, 1, 1, 1]}, {"label": "bad", **entry}],
+    )
+    code = main(
+        ["sweep", "--config", config, "--profiles", profiles,
+         "--seeds", "0", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+
+
+def test_sweep_rejects_a_profiles_file_that_is_not_utf8(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", {"ticks": 10})
+    profiles = tmp_path / "profiles.json"
+    profiles.write_bytes(b'[{"label": "\xff"}]')
+    code = main(
+        ["sweep", "--config", config, "--profiles", str(profiles),
+         "--seeds", "0", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 # ----------------------------------------------------------------------
 # plot
 # ----------------------------------------------------------------------
@@ -289,6 +341,10 @@ def test_plot_rejects_a_malformed_metrics_file(tmp_path, capsys):
     code = main(["plot", "--metrics", str(path), "--out", str(tmp_path / "p.svg")])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    path.write_text(",".join(CSV_COLUMNS) + "\n1,abc,0,0,0,0,0,0,0,0,0\n", encoding="utf-8")
+    code = main(["plot", "--metrics", str(path), "--out", str(tmp_path / "p.svg")])
+    assert code == EXIT_CONFIG
+    assert "line 2, happy" in capsys.readouterr().err
 
 
 def test_plot_reports_a_missing_metrics_file_as_an_io_error(tmp_path):

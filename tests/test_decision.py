@@ -16,7 +16,6 @@ from needagent.decision import (
     DecisionPolicy,
     action_candidates,
     decide,
-    score,
 )
 from needagent.memory import HistoryWindow
 from needagent.model import Prospect, TransitionModel, predict_successors
@@ -52,12 +51,6 @@ def test_policy_validates_mode_and_rate():
         DecisionPolicy(exploration_rate=1.5)
     with pytest.raises(DecisionError):
         DecisionPolicy(exploration_rate=-0.1)
-
-
-def test_score_depends_on_the_mode():
-    assert score(2.0, 0.5, exploit_policy(MODE_PROSPECTED)) == 1.0
-    assert score(2.0, 0.5, exploit_policy(MODE_UTILITY_ONLY)) == 2.0
-    assert score(2.0, 0.5, exploit_policy(MODE_LEXICOGRAPHIC)) == 2.0
 
 
 # ----------------------------------------------------------------------

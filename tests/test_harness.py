@@ -87,6 +87,11 @@ def test_config_round_trips_through_its_dict_form():
         ({"gc": {"min_trust": -1}}, "gc.min_trust"),
         ({"gc": {"interval": -2}}, "gc.interval"),
         ({"out_dir": 7}, "out_dir"),
+        ({"learning": {"predictability_weight": 1e999}}, "learning.predictability_weight"),
+        ({"learning": {"predictability_weight": -1e999}}, "learning.predictability_weight"),
+        ({"profile": {"weights": [1.0, 0.5, 0.1, 1e999]}}, "profile.weights[3]"),
+        ({"profile": {"weights": [-1e999, 0.5, 0.1, 0.1]}}, "profile.weights[0]"),
+        ({"profile": {"energy_weight": float("nan")}}, "profile.energy_weight"),
     ],
 )
 def test_config_errors_name_the_offending_field(data, field):
@@ -101,6 +106,27 @@ def test_fingerprint_is_stable_and_sensitive():
     assert len(a) == 64
     assert int(a, 16) >= 0
     assert config_fingerprint(RunConfig(seed=1)) != a
+
+
+def test_fingerprints_match_the_pinned_values():
+    # Snapshots written by earlier versions embed these fingerprints; a
+    # change here means those snapshots no longer verify.
+    custom = {
+        "window_size": 3,
+        "board": {"feedback_delay": 2},
+        "gc": {"horizon": 200, "interval": 100, "min_trust": 40},
+        "profile": {"weights": [1, 1, 0.1, 0.1], "energy_weight": 0.5},
+        "policy": {"mode": "lexicographic"},
+        "learning": {"successor_keying": "action"},
+        "strategy": "segment",
+        "out_dir": "x",
+    }
+    assert config_fingerprint(RunConfig()) == (
+        "17738da717339f25e6c9051af627118aedb81bd12c9d025ed80be5f996822b2f"
+    )
+    assert config_fingerprint(config_from_dict(custom)) == (
+        "47af63f570a0e890be9189b40d6a0b90b0fb79c40d7afe745e60f57b4dd6bd04"
+    )
 
 
 def test_derive_seed_separates_named_streams():
@@ -130,8 +156,8 @@ def test_run_counts_match_the_feedback_record(small_run):
     events = sum(1 for m in small_run.metrics if m.feedback != 0.0)
     assert last.cumulative_hits + last.cumulative_misses == events
     assert last.cumulative_hits == sum(1 for m in small_run.metrics if m.feedback > 0)
-    # Without delay every nonzero feedback closes a segment.
-    assert len(small_run.log.segments()) == events
+    # The log carries exactly the feedback events the metrics counted.
+    assert sum(1 for rec in small_run.log if rec.reinforcement_observed != 0) == events
 
 
 def test_run_metrics_stay_in_range(small_run):
@@ -271,6 +297,12 @@ def test_metrics_csv_rejects_short_rows():
     text = ",".join(CSV_COLUMNS) + "\n1,2,3\n"
     with pytest.raises(ConfigError):
         metrics_from_csv(text)
+    # A full-width row with a non-numeric cell names its line and column.
+    text = ",".join(CSV_COLUMNS) + "\n1,abc,0,0,0,0,0,0,0,0,0\n"
+    with pytest.raises(ConfigError) as err:
+        metrics_from_csv(text)
+    assert "line 2" in str(err.value)
+    assert "happy" in str(err.value)
 
 
 def test_metrics_file_round_trip(tmp_path, small_run):

@@ -106,55 +106,13 @@ def test_log_rejects_negative_ticks():
         EpisodeLog().append(rec)
 
 
-def test_log_window_returns_the_most_recent_states():
-    log = EpisodeLog()
-    for tick in range(5):
-        log.append(make_record(tick, pos=tick % 4))
-    w = log.window(3)
-    assert [s.tick for s in w.states] == [2, 3, 4]
-    with pytest.raises(UsageError):
-        log.window(0)
-
-
-def test_segments_split_on_nonzero_feedback():
+def test_open_tail_holds_the_records_after_the_last_feedback():
     log = EpisodeLog()
     for tick, fb in enumerate((0.0, 1.0, 0.0, 0.0, -1.0, 0.0)):
         log.append(make_record(tick, feedback=fb))
-    segs = log.segments()
-    assert [len(s) for s in segs] == [2, 3]
-    assert [s.terminal_reinforcement for s in segs] == [1.0, -1.0]
-    assert [r.tick for r in segs[1].records] == [2, 3, 4]
     assert [r.tick for r in log.open_tail()] == [5]
-
-
-def test_close_segment_returns_the_latest_closed_one():
-    log = EpisodeLog()
-    for tick, fb in enumerate((0.0, 1.0, 0.0, 0.0, -1.0, 0.0)):
-        log.append(make_record(tick, feedback=fb))
-    seg = log.close_segment()
-    assert seg.closed
-    assert [r.tick for r in seg.records] == [2, 3, 4]
-    assert seg.terminal_reinforcement == -1.0
-
-
-def test_close_segment_is_open_and_empty_before_any_feedback():
-    log = EpisodeLog()
-    log.append(make_record(0))
-    seg = log.close_segment()
-    assert not seg.closed
-    assert len(seg) == 0
-
-
-@given(st.lists(st.sampled_from((0.0, 1.0, -1.0)), max_size=30))
-def test_segments_and_open_tail_partition_the_log(feedbacks):
-    log = EpisodeLog()
-    for tick, fb in enumerate(feedbacks):
-        log.append(make_record(tick, feedback=fb))
-    flattened = [r for seg in log.segments() for r in seg.records] + list(log.open_tail())
-    assert flattened == list(log.records)
-    for seg in log.segments():
-        assert seg.records[-1].reinforcement_observed != 0
-        assert all(r.reinforcement_observed == 0 for r in seg.records[:-1])
+    log.append(make_record(6, feedback=1.0))
+    assert log.open_tail() == ()
 
 
 def test_closed_segment_requires_a_matching_terminal():

@@ -15,11 +15,9 @@ from needagent.model import (
     LearningParams,
     TransitionModel,
     apply_global_feedback,
-    expectedness,
     learn_transition,
     novelty,
     predict_successors,
-    probability,
     rebuild_from_log,
     tables_equal,
 )
@@ -129,14 +127,6 @@ def test_probabilities_require_evidence():
         TransitionModel().probabilities("never seen")
 
 
-def test_probability_helper_returns_zero_for_unknown_successors():
-    model = TransitionModel()
-    window = HistoryWindow(1).push(make_state())
-    model.observe(window, make_state(pos=1, tick=1), 0.0, 1.0)
-    hk = state_key(window.states)
-    assert probability(model, hk, "3,0") == 0.0
-
-
 @given(counts=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
 def test_probabilities_always_sum_to_one(counts):
     model = TransitionModel()
@@ -148,13 +138,12 @@ def test_probabilities_always_sum_to_one(counts):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_history_known_and_transition_evidence():
+def test_transition_evidence_counts_observed_successors():
     model = TransitionModel()
     window = HistoryWindow(1).push(make_state())
-    assert not model.history_known(window)
     nxt = make_state(pos=1, tick=1)
+    assert model.transition_evidence(window, nxt) == 0
     model.observe(window, nxt, 0.0, 1.0)
-    assert model.history_known(window)
     assert model.transition_evidence(window, nxt) == 1
     assert model.transition_evidence(window, make_state(pos=3)) == 0
 
@@ -230,7 +219,7 @@ def test_learn_transition_charges_energy():
     before = make_state(pos=0)
     after = make_state(pos=1, tick=1)
     window = HistoryWindow(1).push(before)
-    learn_transition(model, window, after, None, 2.0, make_params(energy_weight=0.25))
+    learn_transition(model, window, after, None, 2.0, LearningParams(priority=PriorityProfile(weights=(1.0, 0.0), energy_weight=0.25)))
     assert model.utility[state_key([before])][model.successor_key(after)] == -0.5
 
 
@@ -322,14 +311,6 @@ def test_novelty_ignores_needs_and_actions():
     model.observe(window, make_state(pos=1, tick=1), 0.0, 1.0)
     dressed = make_state(go=True, hunger=0.7, tick=9)
     assert novelty(model, dressed) == 0.5
-
-
-def test_expectedness_measures_prediction_quality():
-    actual = make_state(pos=1, phase=1, go=True)
-    assert expectedness(None, actual) == 0.0
-    assert expectedness(actual, actual) == 1.0
-    predicted = make_state(pos=2, phase=2, go=False)  # 3 of 6 variables differ
-    assert expectedness(predicted, actual) == 0.5
 
 
 # ----------------------------------------------------------------------
