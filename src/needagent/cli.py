@@ -33,7 +33,7 @@ from needagent.harness import (
     verify_snapshot,
     write_metrics,
 )
-from needagent.memory import SnapshotError, load_snapshot, save_snapshot
+from needagent.memory import SnapshotError, atomic_writer, load_snapshot, save_snapshot
 from needagent.pingpong import random_baseline
 from needagent.plot import write_svg
 
@@ -134,7 +134,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runs_path = os.path.join(out_dir, "sweep_runs.csv")
     summary_path = os.path.join(out_dir, "sweep_summary.csv")
     for path, text in ((runs_path, runs_csv), (summary_path, summary_csv)):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_writer(path) as fh:
             fh.write(text)
     for s in summaries:
         print(

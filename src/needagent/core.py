@@ -17,6 +17,8 @@ disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import ne
 from typing import Iterable, Sequence
 
 
@@ -121,6 +123,15 @@ class StateVector:
         """Concatenated variable values in canonical order."""
         return self.feelings + tuple(float(a) for a in self.actions) + self.needs
 
+    @cached_property
+    def key(self) -> str:
+        """This state's fragment of :func:`state_key`, built on first use.
+
+        Cached on the instance, not by feeling codes: ``1``, ``1.0`` and
+        ``True`` are equal as dict keys but encode to different strings.
+        """
+        return ",".join(map(str, self.feelings))
+
 
 @dataclass(frozen=True)
 class PriorityProfile:
@@ -209,27 +220,35 @@ class ConstraintMatrices:
         return cls(size=size, exclusion=ex, dependency=frozenset(dependency))
 
 
-def _is_active(value: float) -> bool:
-    # A variable counts as active when boolean true or numerically positive.
-    return value > 0
+def _is_active(state: StateVector, index: int) -> bool:
+    # A variable counts as active when boolean true or numerically positive;
+    # ``index`` is canonical, as in ``state.values()``.
+    nf = len(state.feelings)
+    if index < nf:
+        return state.feelings[index] > 0
+    index -= nf
+    na = len(state.actions)
+    if index < na:
+        return state.actions[index] > 0
+    return state.needs[index - na] > 0
 
 
 def check_constraints(state: StateVector, constraints: ConstraintMatrices) -> bool:
     """True iff the state violates no exclusion and no dependency.
 
-    Empty relations are vacuously satisfied.
+    Empty relations are vacuously satisfied.  Only the variables a pair
+    names are read.
     """
-    values = state.values()
-    if constraints.size != len(values):
+    width = state.schema.width
+    if constraints.size != width:
         raise SchemaError(
-            f"constraints sized for {constraints.size} variables, state has {len(values)}"
+            f"constraints sized for {constraints.size} variables, state has {width}"
         )
-    active = [_is_active(v) for v in values]
     for i, j in constraints.exclusion:
-        if active[i] and active[j]:
+        if _is_active(state, i) and _is_active(state, j):
             return False
     for i, j in constraints.dependency:
-        if active[i] and not active[j]:
+        if _is_active(state, i) and not _is_active(state, j):
             return False
     return True
 
@@ -281,11 +300,14 @@ def state_distance(a: StateVector, b: StateVector) -> float:
     Counts positions whose values differ and divides by the variable count,
     so the result lies in ``[0, 1]`` and satisfies the metric axioms.
     """
-    if a.schema != b.schema:
+    if a.schema is not b.schema and a.schema != b.schema:
         raise SchemaError("cannot compare states with different schemas")
-    va, vb = a.values(), b.values()
-    differing = sum(1 for x, y in zip(va, vb) if x != y)
-    return differing / len(va)
+    differing = (
+        sum(map(ne, a.feelings, b.feelings))
+        + sum(map(ne, a.actions, b.actions))
+        + sum(map(ne, a.needs, b.needs))
+    )
+    return differing / a.schema.width
 
 
 def energy_spent(action_vector: Sequence[bool], cost: ActionCost) -> float:
@@ -295,10 +317,6 @@ def energy_spent(action_vector: Sequence[bool], cost: ActionCost) -> float:
             f"action vector has {len(action_vector)} entries, cost table {len(cost.costs)}"
         )
     return sum(c for a, c in zip(action_vector, cost.costs) if a)
-
-
-def _encode_state(state: StateVector) -> str:
-    return ",".join(str(v) for v in state.feelings)
 
 
 def state_key(window: Sequence[StateVector]) -> str:
@@ -316,7 +334,9 @@ def state_key(window: Sequence[StateVector]) -> str:
     """
     if not window:
         raise UsageError("state_key requires at least one state")
-    return "|".join(_encode_state(s) for s in window)
+    if len(window) == 1:
+        return window[0].key
+    return "|".join([s.key for s in window])
 
 
 def action_key(state: StateVector) -> str:

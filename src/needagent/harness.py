@@ -25,7 +25,9 @@ from needagent.memory import (
     EpisodeLog,
     HistoryWindow,
     MemorySnapshot,
+    SnapshotError,
     TransitionRecord,
+    atomic_writer,
     garbage_collect,
 )
 from needagent.model import (
@@ -388,9 +390,13 @@ def snapshot_from_run(result: RunResult) -> MemorySnapshot:
 
 def verify_snapshot(snapshot: MemorySnapshot, utility_tolerance: float = 1e-12) -> list[str]:
     """Replay the snapshot's log and diff the rebuilt model against the stored
-    tables.  Returns human-readable problems; empty means verified."""
+    tables.  Returns human-readable problems; empty means verified.  An
+    invalid embedded config is a :class:`SnapshotError` naming ``config.<field>``."""
     problems: list[str] = []
-    config = config_from_dict(snapshot.config)
+    try:
+        config = config_from_dict(snapshot.config)
+    except ConfigError as exc:
+        raise SnapshotError(f"config.{exc}") from exc
     if config_fingerprint(config) != snapshot.config_fingerprint:
         problems.append("config_fingerprint does not match the embedded config")
     rebuilt = rebuild_from_log(
@@ -472,7 +478,7 @@ def metrics_from_csv(text: str) -> list[MetricsRow]:
 
 
 def write_metrics(rows: Sequence[MetricsRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_writer(path) as fh:
         fh.write(metrics_to_csv(rows))
 
 

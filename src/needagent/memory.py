@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+import os
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence, TextIO
 
 from needagent.core import (
     FeelingVar,
@@ -254,22 +257,36 @@ def record_to_dict(rec: TransitionRecord) -> dict:
     }
 
 
+def _finite_number(data: dict, key: str, where: str) -> float:
+    value = data[key]
+    # Comparing against the largest float rejects NaN and the infinities, and
+    # never overflows on an integer too large for a float.
+    if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise SnapshotError(f"{where}.{key}: expected a finite number, got {value!r}")
+    return value
+
+
 def record_from_dict(schema: StateSchema, data: dict, where: str) -> TransitionRecord:
+    if not isinstance(data, dict):
+        raise SnapshotError(f"{where}: expected an object")
     try:
         predicted = data["predicted_next"]
     except KeyError as exc:
         raise SnapshotError(f"{where}.predicted_next: missing") from exc
     try:
+        tick = data["tick"]
+        if not isinstance(tick, int):
+            raise SnapshotError(f"{where}.tick: expected an integer, got {tick!r}")
         return TransitionRecord(
-            tick=data["tick"],
+            tick=tick,
             state=state_from_dict(schema, data["state"], f"{where}.state"),
             chosen_action=tuple(bool(a) for a in data["chosen_action"]),
             predicted_next=(
                 None if predicted is None
                 else state_from_dict(schema, predicted, f"{where}.predicted_next")
             ),
-            reinforcement_observed=data["reinforcement"],
-            energy=data["energy"],
+            reinforcement_observed=_finite_number(data, "reinforcement", where),
+            energy=_finite_number(data, "energy", where),
             next_state=state_from_dict(schema, data["next_state"], f"{where}.next_state"),
         )
     except (KeyError, TypeError) as exc:
@@ -301,12 +318,16 @@ def dumps_snapshot(snap: MemorySnapshot) -> str:
         "config": snap.config,
         "config_fingerprint": snap.config_fingerprint,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _reject_constant(token: str):
+    raise SnapshotError(f"not valid JSON: {token} is not a number")
 
 
 def loads_snapshot(text: str) -> MemorySnapshot:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -348,8 +369,28 @@ def loads_snapshot(text: str) -> MemorySnapshot:
     )
 
 
+@contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file whose contents replace ``path`` only when complete.
+
+    Text goes to a temporary file beside ``path``, renamed over it when the
+    block exits cleanly.  If the block raises, the temporary file is removed
+    and ``path`` keeps its old bytes (or stays absent).
+    """
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
 def save_snapshot(snap: MemorySnapshot, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_writer(path) as fh:
         fh.write(dumps_snapshot(snap))
 
 

@@ -103,7 +103,7 @@ class TransitionModel:
     def successor_key(self, state: StateVector) -> str:
         if self.successor_keying == SUCCESSOR_KEYING_ACTION:
             return action_key(state)
-        return state_key([state])
+        return state.key
 
     def observe(self, history: HistoryWindow, next_state: StateVector, l_value: float, step: float) -> None:
         """Record one transition and blend ``l_value`` into its utility."""
@@ -112,16 +112,17 @@ class TransitionModel:
                 f"history window length {len(history)} outside [1, {self.window_size}]"
             )
         hk = state_key(history.states)
+        nk = next_state.key
         sk = self.successor_key(next_state)
         row_u = self.utility.setdefault(hk, {})
         row_c = self.evidence.setdefault(hk, {})
         before = row_u.get(sk, 0.0)
         row_u[sk] = before + step * (l_value - before)
         row_c[sk] = row_c.get(sk, 0) + 1
-        self.successor_states.setdefault(hk, {})[state_key([next_state])] = next_state
-        for seen in (history.states[-1], next_state):
-            key = state_key([seen])
-            self.state_seen[key] = self.state_seen.get(key, 0) + 1
+        self.successor_states.setdefault(hk, {})[nk] = next_state
+        seen = self.state_seen
+        for key in (history.states[-1].key, nk):
+            seen[key] = seen.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # queries
@@ -191,17 +192,22 @@ def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[P
     states = model.successor_states.get(hk)
     if not states:
         return []
-    probs = model.probabilities(hk)
+    row_c = model.evidence.get(hk)
+    if not row_c:
+        raise UsageError(f"history {hk!r} has no evidence")
+    total = sum(row_c.values())
     row_u = model.utility[hk]
+    # Under state keying the successor index key is the table key as well.
+    by_action = model.successor_keying == SUCCESSOR_KEYING_ACTION
     prospects = []
     for skey in sorted(states):
         state = states[skey]
-        ukey = model.successor_key(state)
+        ukey = action_key(state) if by_action else skey
         prospects.append(
             Prospect(
                 state=state,
                 utility=row_u.get(ukey, 0.0),
-                probability=probs.get(ukey, 0.0),
+                probability=row_c.get(ukey, 0) / total,
                 sort_key=skey,
             )
         )
@@ -271,7 +277,7 @@ def apply_global_feedback(model: TransitionModel, segment: Segment, params: Lear
 def novelty(model: TransitionModel, state: StateVector) -> float:
     """``1 / (1 + n)`` where ``n`` counts the state's recorded appearances
     as a history head or successor; 1 for a never-seen state, falling toward 0."""
-    n = model.state_seen.get(state_key([state]), 0)
+    n = model.state_seen.get(state.key, 0)
     return 1.0 / (1.0 + n)
 
 
@@ -347,7 +353,7 @@ def tables_equal(a: dict, b: dict, utility_tolerance: float = 0.0) -> list[str]:
     """Differences between two model table dumps; empty means equal.
 
     Keys and integer counts must match exactly; utilities may differ by at
-    most ``utility_tolerance``.
+    most ``utility_tolerance``, and a NaN on either side always differs.
     """
     problems: list[str] = []
     for section in ("window_size", "successor_keying", "evidence", "successors", "state_seen"):
@@ -362,7 +368,7 @@ def tables_equal(a: dict, b: dict, utility_tolerance: float = 0.0) -> list[str]:
                 problems.append(f"model.utility[{hk!r}]: successor keys differ")
                 continue
             for sk in ua[hk]:
-                if abs(ua[hk][sk] - ub[hk][sk]) > utility_tolerance:
+                if not abs(ua[hk][sk] - ub[hk][sk]) <= utility_tolerance:
                     problems.append(
                         f"model.utility[{hk!r}][{sk!r}]: {ua[hk][sk]} vs {ub[hk][sk]}"
                     )

@@ -174,6 +174,39 @@ def test_replay_rejects_a_forged_config_fingerprint(snapshot_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
+def _tamper(snapshot_path, change):
+    payload = json.loads(snapshot_path.read_text(encoding="utf-8"))
+    change(payload)
+    # json.dumps writes a NaN utility as the bare token NaN.
+    snapshot_path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _set_nan_utility(payload):
+    row = next(iter(payload["model"]["utility"].values()))
+    row[next(iter(row))] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (_set_nan_utility, "not valid JSON: NaN is not a number"),
+        (lambda p: p["log"].__setitem__(0, 5), "log[0]: expected an object"),
+        (lambda p: p["log"][1].__setitem__("energy", "x"), "log[1].energy: expected a finite number"),
+        (
+            lambda p: p["log"][2].__setitem__("reinforcement", "1"),
+            "log[2].reinforcement: expected a finite number",
+        ),
+        (lambda p: p["config"].__setitem__("ticks", -1), "config.ticks: must be >= 0"),
+    ],
+    ids=["nan-utility", "record-not-an-object", "energy-string", "reinforcement-string", "bad-config"],
+)
+def test_replay_reports_a_malformed_snapshot_field(snapshot_path, capsys, change, message):
+    _tamper(snapshot_path, change)
+    capsys.readouterr()
+    assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"snapshot error: {message}")
+
+
 def test_replay_reports_malformed_snapshots_as_io_errors(tmp_path, capsys):
     path = tmp_path / "snapshot.json"
     path.write_text('{"version": 1}', encoding="utf-8")

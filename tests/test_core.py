@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needagent.core import (
@@ -195,6 +195,27 @@ def test_state_distance_triangle_inequality(a, b, c):
     assert state_distance(a, c) <= state_distance(a, b) + state_distance(b, c) + 1e-12
 
 
+# Feeling codes of mixed numeric types: equal codes of different types must
+# compare as the canonical ``values()`` tuple compares them.
+_typed_states = st.builds(
+    make_state,
+    pos=st.sampled_from((0, 1, 2, 3, 0.0, 1.0, 3.0, False, True)),
+    phase=st.sampled_from((0, 1, 2, 2.0, True)),
+    go=st.booleans(),
+    grab=st.booleans(),
+    hunger=st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+    rest=st.sampled_from((0.0, 0.5, 1.0)),
+)
+
+
+@settings(max_examples=200)
+@given(a=_typed_states, b=_typed_states)
+def test_state_distance_matches_the_values_formula(a, b):
+    va, vb = a.values(), b.values()
+    expected = sum(1 for x, y in zip(va, vb) if x != y) / len(va)
+    assert state_distance(a, b) == expected
+
+
 def test_energy_spent_sums_active_costs_only():
     cost = ActionCost(costs=(1.0, 2.5))
     assert energy_spent((False, False), cost) == 0.0
@@ -210,6 +231,28 @@ def test_energy_spent_length_mismatch():
 # ----------------------------------------------------------------------
 # keys
 # ----------------------------------------------------------------------
+
+
+def _old_encoding(window):
+    # Reference encoding: feeling codes as str, "," within a state, "|" between states.
+    return "|".join(",".join(str(v) for v in s.feelings) for s in window)
+
+
+def test_state_key_matches_the_feeling_encoding():
+    window = [make_state(pos=1.0), make_state(pos=True, phase=2), make_state(pos=3)]
+    assert [s.key for s in window] == [_old_encoding([s]) for s in window]
+    for n in (1, 2, 3):
+        assert state_key(window[:n]) == _old_encoding(window[:n])
+    assert state_key(window) == "1.0,0|True,2|3,0"
+
+
+def test_equal_codes_of_different_types_keep_their_own_keys():
+    # (1, 0), (1.0, 0) and (True, 0) are equal dict keys; a cache shared by
+    # feeling codes would give all three the key of whichever came first.
+    states = [make_state(pos=1), make_state(pos=1.0), make_state(pos=True)]
+    assert len({s.feelings for s in states}) == 1
+    assert [s.key for s in states] == ["1,0", "1.0,0", "True,0"]
+    assert [state_key([s]) for s in states] == ["1,0", "1.0,0", "True,0"]
 
 
 def test_state_key_requires_a_state():
@@ -307,8 +350,9 @@ def test_check_constraints_size_mismatch():
 _index_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])
 
 
+@settings(max_examples=200)
 @given(
-    state=_states,
+    state=_typed_states,
     exclusion=st.lists(_index_pairs, max_size=4),
     dependency=st.lists(_index_pairs, max_size=4),
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -30,7 +31,8 @@ from needagent.harness import (
     write_metrics,
 )
 from needagent.core import PriorityProfile
-from needagent.memory import dumps_snapshot
+from needagent import harness
+from needagent.memory import SnapshotError, dumps_snapshot
 from needagent.model import STRATEGY_SEGMENT
 
 
@@ -266,6 +268,14 @@ def test_verify_snapshot_detects_a_forged_config(small_run):
     assert any("fingerprint" in p for p in verify_snapshot(tampered))
 
 
+def test_verify_snapshot_names_an_invalid_embedded_config(small_run):
+    snapshot = snapshot_from_run(small_run)
+    broken = dataclasses.replace(snapshot, config={**snapshot.config, "ticks": -1})
+    with pytest.raises(SnapshotError) as err:
+        verify_snapshot(broken)
+    assert str(err.value) == "config.ticks: must be >= 0"
+
+
 # ----------------------------------------------------------------------
 # metrics CSV
 # ----------------------------------------------------------------------
@@ -311,6 +321,20 @@ def test_metrics_file_round_trip(tmp_path, small_run):
     assert read_metrics(str(path)) == metrics_from_csv(metrics_to_csv(small_run.metrics))
     assert path.read_bytes().endswith(b"\n")
     assert b"\r" not in path.read_bytes()
+
+
+def test_write_metrics_keeps_the_old_file_when_serialization_fails(tmp_path, small_run, monkeypatch):
+    path = tmp_path / "metrics.csv"
+    path.write_bytes(b"old bytes\n")
+
+    def failing_metrics_to_csv(rows):
+        raise RuntimeError("serialization failed")
+
+    monkeypatch.setattr(harness, "metrics_to_csv", failing_metrics_to_csv)
+    with pytest.raises(RuntimeError):
+        write_metrics(small_run.metrics, str(path))
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
 def test_explored_column_is_binary(small_run):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from needagent import memory
 from needagent.core import UsageError
 from needagent.memory import (
     SNAPSHOT_VERSION,
@@ -19,6 +21,7 @@ from needagent.memory import (
     SnapshotError,
     SnapshotVersionError,
     TransitionRecord,
+    atomic_writer,
     dumps_snapshot,
     garbage_collect,
     load_snapshot,
@@ -292,3 +295,86 @@ def test_save_and_load_snapshot(tmp_path):
     assert load_snapshot(str(path)).log.records == snap.log.records
     assert path.read_bytes().endswith(b"\n")
     assert b"\r" not in path.read_bytes()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_loads_snapshot_rejects_non_finite_tokens(token):
+    text = dumps_snapshot(make_snapshot()).replace('{"1,0":0.5}', '{"1,0":%s}' % token)
+    assert token in text
+    with pytest.raises(SnapshotError) as err:
+        loads_snapshot(text)
+    assert token in str(err.value)
+
+
+def test_dumps_snapshot_refuses_non_finite_values():
+    snap = make_snapshot()
+    snap.model_tables["utility"]["0,0"]["1,0"] = math.nan
+    with pytest.raises(ValueError):
+        dumps_snapshot(snap)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("energy", '"x"'), ("reinforcement", "[1]"), ("energy", "1e999"), ("reinforcement", "1" + "0" * 400)],
+)
+def test_loads_snapshot_requires_finite_record_numbers(field, value):
+    # ``value`` is JSON text: 1e999 parses to an infinite float, and a
+    # 401-digit integer is too large for a float.
+    payload = json.loads(dumps_snapshot(make_snapshot()))
+    payload["log"][1][field] = "VALUE"
+    with pytest.raises(SnapshotError) as err:
+        loads_snapshot(json.dumps(payload).replace('"VALUE"', value))
+    assert f"log[1].{field}: expected a finite number" in str(err.value)
+
+
+@pytest.mark.parametrize("item", [5, None, [1, 2], "record"])
+def test_loads_snapshot_requires_each_record_to_be_an_object(item):
+    payload = json.loads(dumps_snapshot(make_snapshot()))
+    payload["log"][2] = item
+    with pytest.raises(SnapshotError) as err:
+        loads_snapshot(json.dumps(payload))
+    assert str(err.value) == "log[2]: expected an object"
+
+
+def test_loads_snapshot_requires_integer_ticks():
+    payload = json.loads(dumps_snapshot(make_snapshot()))
+    payload["log"][1]["tick"] = "1"
+    with pytest.raises(SnapshotError) as err:
+        loads_snapshot(json.dumps(payload))
+    assert "log[1].tick: expected an integer" in str(err.value)
+
+
+def test_atomic_writer_replaces_the_file_only_when_complete(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(RuntimeError):
+        with atomic_writer(str(path)) as fh:
+            fh.write("partial ")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    with atomic_writer(str(path)) as fh:
+        fh.write("new\n")
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_save_snapshot_keeps_the_old_file_when_serialization_fails(tmp_path, monkeypatch):
+    path = tmp_path / "snapshot.json"
+    save_snapshot(make_snapshot(), str(path))
+    before = path.read_bytes()
+    calls = []
+
+    def failing_record_to_dict(rec):
+        calls.append(rec)
+        if len(calls) == 2:
+            raise RuntimeError("serialization failed part-way")
+        return original(rec)
+
+    original = memory.record_to_dict
+    monkeypatch.setattr(memory, "record_to_dict", failing_record_to_dict)
+    with pytest.raises(RuntimeError):
+        save_snapshot(make_snapshot(), str(path))
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["snapshot.json"]

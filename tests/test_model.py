@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -420,3 +422,16 @@ def test_tables_equal_reports_named_differences():
     d = model.to_tables()
     d["utility"]["9,9"] = {}
     assert "model.utility: history keys differ" in tables_equal(a, d)
+
+
+def test_tables_equal_reports_a_nan_utility():
+    model = rebuild_from_log(_synthetic_log(), make_params(), STRATEGY_TRANSITION_MAP, 1)
+    a = model.to_tables()
+    b = model.to_tables()
+    hk = next(iter(b["utility"]))
+    sk = next(iter(b["utility"][hk]))
+    b["utility"][hk][sk] = math.nan
+    for tolerance in (0.0, 1e-12, math.inf):
+        problems = tables_equal(a, b, tolerance)
+        assert problems == [f"model.utility[{hk!r}][{sk!r}]: {a['utility'][hk][sk]} vs nan"]
+        assert len(tables_equal(b, a, tolerance)) == 1
