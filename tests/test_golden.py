@@ -1,4 +1,4 @@
-"""Pinned output bytes: metrics CSV and snapshot hashes of four small runs.
+"""Pinned output bytes: metrics CSV and snapshot hashes of five small runs.
 
 Any change to keys, tables, decisions or serialization that moves a single
 byte of either output fails here.  The hashes were taken from the
@@ -42,6 +42,16 @@ GOLDEN = (
         {"strategy": "segment", "gc": {"horizon": 200, "interval": 100, "min_trust": 40}},
         "db1439d8f1445f78c4d7ee44af19668cbcd7459547dbb3f84f99ef7e111adc83",
         "adb5d474babec13243574f83a0cfcd35ab3ac602238920bb09b7d558372e1cc8",
+    ),
+    # GC never changes decisions, so the metrics match window3-delay2.  Here
+    # 56 records pass one GC pass and are removed by a later one, after a
+    # predecessor's removal shortened their history window: a collector that
+    # keeps a record for good once it has passed keeps 117 records, not 61.
+    (
+        "window3-gc",
+        {"window_size": 3, "board": {"feedback_delay": 2}, "gc": {"horizon": 50, "interval": 10, "min_trust": 5}},
+        "bebaf915586d1be6f0797952f7eb88aa189c3e6c84ecade29ce4df08be4674f3",
+        "626d6001f2a1e5243b1937583710008c34232281092180dc4c14387d445113b9",
     ),
 )
 
