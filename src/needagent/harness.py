@@ -13,11 +13,12 @@ import json
 import math
 import statistics
 import sys
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from needagent.core import PriorityProfile, SchemaError, StateSchema
 from needagent.decision import DecisionPolicy, MODES, decide
@@ -96,7 +97,7 @@ def _number(kind: type, low: float = -math.inf, high: float = math.inf, low_open
     """Parser for a finite JSON number, read as ``kind`` (int or float), in
     ``[low, high]`` or, with ``low_open``, in ``(low, high]``."""
     expected = "an integer" if kind is int else "a finite number"
-    bounds = f"must be >= {low}"
+    bounds = f"must be {'>' if low_open else '>='} {low}"
     if high < math.inf:
         bounds = f"must be in {'(' if low_open else '['}{low}, {high}]"
 
@@ -156,7 +157,7 @@ _FIELDS = (
     ("learning.utility_step", "utility_step", _number(float, 0, 1, low_open=True)),
     ("learning.predictability_weight", "predictability_weight", _number(float, 0)),
     ("learning.successor_keying", "successor_keying", _choice(SUCCESSOR_KEYINGS)),
-    ("gc.horizon", "gc_horizon", _optional(_number(float, 0))),
+    ("gc.horizon", "gc_horizon", _optional(_number(float, 0, low_open=True))),
     ("gc.min_trust", "gc_min_trust", _number(int, 0)),
     ("gc.interval", "gc_interval", _number(int, 0)),
     ("out_dir", "out_dir", _optional(_valid(lambda v: isinstance(v, str), "expected a string"))),
@@ -287,6 +288,7 @@ def run(config: RunConfig) -> RunResult:
     cumulative_misses = 0
     recent_events: deque[int] = deque(maxlen=ROLLING_WINDOW_EVENTS)
     rolling = 0.0
+    trusted_below = 0  # GC frontier: every record before this tick is trusted for good
 
     for tick in range(config.ticks):
         decision = decide(model, window, constraints, policy, rng)
@@ -339,21 +341,23 @@ def run(config: RunConfig) -> RunResult:
             and config.gc_interval > 0
             and (tick + 1) % config.gc_interval == 0
         ):
-            log = run_garbage_collection(log, model, config)
+            log, trusted_below = run_garbage_collection(log, model, config, trusted_below)
 
     return RunResult(config=config, schema=schema, log=log, model=model, metrics=metrics)
 
 
-def evidence_by_tick(log: EpisodeLog, model: TransitionModel) -> dict[int, int]:
+def evidence_by_tick(records: Iterable[TransitionRecord], model: TransitionModel) -> dict[int, int]:
     """Model evidence for each record's transition, keyed by tick.
 
     Windows are reconstructed the same way learning built them, resetting at
-    tick gaps, so the lookup matches what the tables actually hold.
+    tick gaps, so the lookup matches what the tables actually hold.  The
+    first ``window_size - 1`` counts of a slice that starts mid-log see
+    truncated windows.
     """
     counts: dict[int, int] = {}
     window = HistoryWindow(model.window_size)
     previous = None
-    for rec in log:
+    for rec in records:
         if previous is not None and rec.tick != previous + 1:
             window = HistoryWindow(model.window_size)
         previous = rec.tick
@@ -362,15 +366,33 @@ def evidence_by_tick(log: EpisodeLog, model: TransitionModel) -> dict[int, int]:
     return counts
 
 
-def run_garbage_collection(log: EpisodeLog, model: TransitionModel, config: RunConfig) -> EpisodeLog:
-    counts = evidence_by_tick(log, model)
+def run_garbage_collection(
+    log: EpisodeLog, model: TransitionModel, config: RunConfig, trusted_below: int
+) -> tuple[EpisodeLog, int]:
+    """One GC pass; returns the collected log and the next ``trusted_below``.
+
+    A record whose evidence reaches ``gc.min_trust`` stays trusted for as
+    long as its history window does: evidence only grows, and the window
+    changes only when one of its ``window_size - 1`` predecessors is removed.
+    So every record before the first untrusted one is trusted for good, and
+    records with a tick below ``trusted_below`` (which an earlier pass
+    proved so) are not looked up again.  A lead-in of ``window_size - 1``
+    records rebuilds the windows of the first ones that are.
+    """
+    records = log.records
+    start = bisect_left(records, trusted_below, key=attrgetter("tick"))
+    counts = evidence_by_tick(records[max(0, start - model.window_size + 1):], model)
+    untrusted = (rec.tick for rec in records[start:] if counts[rec.tick] < config.gc_min_trust)
+    frontier = next(untrusted, records[-1].tick + 1 if records else trusted_below)
     horizon = math.inf if config.gc_horizon is None else config.gc_horizon
-    return garbage_collect(
+    collected = garbage_collect(
         log,
         retention_horizon=horizon,
         min_trust=config.gc_min_trust,
         evidence=lambda rec: counts[rec.tick],
+        trusted_below=trusted_below,
     )
+    return collected, frontier
 
 
 # ======================================================================

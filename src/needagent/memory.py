@@ -17,8 +17,10 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence, TextIO
 
 from needagent.core import (
@@ -122,10 +124,11 @@ class HistoryWindow:
 
 
 class EpisodeLog:
-    """Append-only sequence of transition records with contiguous ticks.
+    """Append-only sequence of transition records with ascending ticks.
 
-    After garbage collection the tick sequence may contain gaps; within a
-    live run it never does.
+    Appends must continue the last tick.  Garbage collection removes records
+    from anywhere but the open tail, so a run with periodic GC has a log with
+    tick gaps, and so does a snapshot of it.
     """
 
     def __init__(self, records: Sequence[TransitionRecord] = ()) -> None:
@@ -167,6 +170,7 @@ def garbage_collect(
     retention_horizon: float,
     min_trust: int,
     evidence: Callable[[TransitionRecord], int],
+    trusted_below: int = 0,
 ) -> EpisodeLog:
     """Forget old records whose transitions the model does not yet trust.
 
@@ -175,18 +179,20 @@ def garbage_collect(
     model evidence below ``min_trust``, and it is not part of the open
     segment.  Model tables are never touched; an infinite horizon disables
     collection entirely.  Returns a new log; the input is left intact.
+
+    Records with a tick below ``trusted_below`` are kept without asking
+    ``evidence``: the caller has proven them trusted for good.
     """
-    records = log.records
-    if not records:
-        return EpisodeLog()
+    records = log._records
     gc_log = EpisodeLog()
-    if retention_horizon == math.inf:
+    if not records or retention_horizon == math.inf:
         gc_log._records = list(records)
         return gc_log
+    start = bisect_left(records, trusted_below, key=attrgetter("tick"))
     latest = records[-1].tick
     protected = {rec.tick for rec in log.open_tail()}
-    survivors = []
-    for rec in records:
+    survivors = records[:start]
+    for rec in records[start:]:
         old = latest - rec.tick >= retention_horizon
         if rec.tick in protected or not old or evidence(rec) >= min_trust:
             survivors.append(rec)
@@ -257,11 +263,19 @@ def record_to_dict(rec: TransitionRecord) -> dict:
     }
 
 
-def _finite_number(data: dict, key: str, where: str) -> float:
-    value = data[key]
+def _is_finite(value) -> bool:
     # Comparing against the largest float rejects NaN and the infinities, and
     # never overflows on an integer too large for a float.
-    if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_number(data: dict, key: str, where: str) -> float:
+    value = data[key]
+    if not _is_finite(value):
         raise SnapshotError(f"{where}.{key}: expected a finite number, got {value!r}")
     return value
 
@@ -291,6 +305,47 @@ def record_from_dict(schema: StateSchema, data: dict, where: str) -> TransitionR
         )
     except (KeyError, TypeError) as exc:
         raise SnapshotError(f"{where}: {exc}") from exc
+
+
+def _check_model_tables(model: dict) -> None:
+    """Check the shape that verification relies on when it compares tables.
+
+    ``window_size`` is an integer and ``successor_keying`` a string;
+    ``utility``, ``evidence`` and ``successors`` are objects of objects, with
+    finite utilities and integer evidence; ``state_seen`` is an object of
+    integers.  A missing section is left to verification, which reports it
+    as a difference.
+    """
+
+    def fail(where: str, what: str):
+        raise SnapshotError(f"model.{where}: expected {what}")
+
+    if "window_size" in model and not _is_count(model["window_size"]):
+        fail("window_size", "an integer")
+    if "successor_keying" in model and not isinstance(model["successor_keying"], str):
+        fail("successor_keying", "a string")
+    seen = model.get("state_seen", {})
+    if not isinstance(seen, dict):
+        fail("state_seen", "an object")
+    for key, count in seen.items():
+        if not _is_count(count):
+            fail(f"state_seen[{key!r}]", f"an integer, got {count!r}")
+    for section, test, what in (
+        ("utility", _is_finite, "a finite number"),
+        ("evidence", _is_count, "an integer"),
+        ("successors", None, None),
+    ):
+        rows = model.get(section, {})
+        if not isinstance(rows, dict):
+            fail(section, "an object")
+        for hk, row in rows.items():
+            if not isinstance(row, dict):
+                fail(f"{section}[{hk!r}]", "an object")
+            if test is None:
+                continue
+            for sk, value in row.items():
+                if not test(value):
+                    fail(f"{section}[{hk!r}][{sk!r}]", f"{what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -355,6 +410,7 @@ def loads_snapshot(text: str) -> MemorySnapshot:
         log._records.append(rec)  # ticks may be gapped after GC
     if not isinstance(payload["model"], dict):
         raise SnapshotError("model: expected an object")
+    _check_model_tables(payload["model"])
     if not isinstance(payload["config"], dict):
         raise SnapshotError("config: expected an object")
     if not isinstance(payload["config_fingerprint"], str):

@@ -84,6 +84,18 @@ def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_run_rejects_a_gc_horizon_of_zero(tmp_path, capsys):
+    # A zero horizon would let GC remove the newest record, and the next
+    # append would no longer follow the last tick.
+    config = write_json(
+        tmp_path / "config.json",
+        {"ticks": 100, "strategy": "segment", "gc": {"horizon": 0, "interval": 5, "min_trust": 2}},
+    )
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: gc.horizon: must be > 0")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_reports_a_missing_config_as_an_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
@@ -186,6 +198,10 @@ def _set_nan_utility(payload):
     row[next(iter(row))] = float("nan")
 
 
+def _set_row(payload, section, row):
+    payload["model"][section]["h"] = row
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -197,8 +213,23 @@ def _set_nan_utility(payload):
             "log[2].reinforcement: expected a finite number",
         ),
         (lambda p: p["config"].__setitem__("ticks", -1), "config.ticks: must be >= 0"),
+        (lambda p: p["model"].__setitem__("utility", 5), "model.utility: expected an object"),
+        (lambda p: _set_row(p, "utility", 5), "model.utility['h']: expected an object"),
+        (lambda p: _set_row(p, "utility", [1.0]), "model.utility['h']: expected an object"),
+        (lambda p: _set_row(p, "evidence", {"x": 1.5}), "model.evidence['h']['x']: expected an integer"),
+        (lambda p: _set_row(p, "successors", []), "model.successors['h']: expected an object"),
+        (lambda p: _set_row(p, "utility", {"x": "0.5"}), "model.utility['h']['x']: expected a finite number"),
+        (lambda p: p["model"]["state_seen"].__setitem__("x", "1"), "model.state_seen['x']: expected an integer"),
+        (lambda p: p["model"].__setitem__("state_seen", []), "model.state_seen: expected an object"),
+        (lambda p: p["model"].__setitem__("window_size", "1"), "model.window_size: expected an integer"),
+        (lambda p: p["model"].__setitem__("successor_keying", 7), "model.successor_keying: expected a string"),
     ],
-    ids=["nan-utility", "record-not-an-object", "energy-string", "reinforcement-string", "bad-config"],
+    ids=[
+        "nan-utility", "record-not-an-object", "energy-string", "reinforcement-string", "bad-config",
+        "utility-number", "utility-row-number", "utility-row-list", "evidence-float",
+        "successors-row-list", "utility-string", "state-seen-string", "state-seen-list",
+        "window-size-string", "successor-keying-number",
+    ],
 )
 def test_replay_reports_a_malformed_snapshot_field(snapshot_path, capsys, change, message):
     _tamper(snapshot_path, change)

@@ -7,6 +7,8 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from needagent.harness import (
     CSV_COLUMNS,
@@ -33,7 +35,7 @@ from needagent.harness import (
 from needagent.core import PriorityProfile
 from needagent import harness
 from needagent.memory import SnapshotError, dumps_snapshot
-from needagent.model import STRATEGY_SEGMENT
+from needagent.model import STRATEGIES, STRATEGY_SEGMENT, SUCCESSOR_KEYINGS
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +88,7 @@ def test_config_round_trips_through_its_dict_form():
         ({"learning": {"utility_step": 0}}, "learning.utility_step"),
         ({"learning": {"successor_keying": "bogus"}}, "learning.successor_keying"),
         ({"gc": {"horizon": -1}}, "gc.horizon"),
+        ({"gc": {"horizon": 0}}, "gc.horizon"),
         ({"gc": {"min_trust": -1}}, "gc.min_trust"),
         ({"gc": {"interval": -2}}, "gc.interval"),
         ({"out_dir": 7}, "out_dir"),
@@ -216,7 +219,7 @@ def test_run_garbage_collection_applies_the_retention_rule():
     config = RunConfig(seed=5, ticks=80, gc_horizon=30.0, gc_min_trust=3, gc_interval=0)
     result = run(config)
     counts = evidence_by_tick(result.log, result.model)
-    collected = run_garbage_collection(result.log, result.model, config)
+    collected, _ = run_garbage_collection(result.log, result.model, config, 0)
     kept = {rec.tick for rec in collected.records}
     protected = {rec.tick for rec in result.log.open_tail()}
     latest = result.log.records[-1].tick
@@ -230,6 +233,54 @@ def test_run_garbage_collection_applies_the_retention_rule():
         assert (rec.tick not in kept) == removable
         removed_any = removed_any or removable
     assert removed_any  # the scenario actually exercises collection
+
+
+_full_rescan_gc = harness.run_garbage_collection
+
+
+def _full_rescan(log, model, config, trusted_below):
+    """The collector before the trusted frontier: every pass looks up every record."""
+    return _full_rescan_gc(log, model, config, 0)
+
+
+def _outputs(config):
+    result = run(config)
+    return metrics_to_csv(result.metrics), dumps_snapshot(snapshot_from_run(result))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 3),
+    ticks=st.integers(1, 400),
+    window_size=st.integers(1, 3),
+    strategy=st.sampled_from(STRATEGIES),
+    successor_keying=st.sampled_from(SUCCESSOR_KEYINGS),
+    horizon=st.sampled_from([0.5, 1.0, 2.5, 10.0, 37.5, 120.0]),
+    min_trust=st.integers(0, 6),
+    interval=st.integers(1, 40),
+)
+@example(seed=0, ticks=300, window_size=3, strategy=STRATEGY_SEGMENT, successor_keying="state",
+         horizon=2.5, min_trust=0, interval=7)
+@example(seed=1, ticks=400, window_size=2, strategy="transition-map", successor_keying="action",
+         horizon=12.5, min_trust=4, interval=5)
+def test_trusted_frontier_gc_matches_a_full_rescan(
+    seed, ticks, window_size, strategy, successor_keying, horizon, min_trust, interval
+):
+    config = RunConfig(
+        seed=seed,
+        ticks=ticks,
+        window_size=window_size,
+        strategy=strategy,
+        successor_keying=successor_keying,
+        gc_horizon=horizon,
+        gc_min_trust=min_trust,
+        gc_interval=interval,
+    )
+    # A context, not the monkeypatch fixture: Hypothesis runs this body once per example.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "run_garbage_collection", _full_rescan)
+        reference = _outputs(config)
+    assert _outputs(config) == reference
 
 
 def test_run_with_periodic_gc_produces_a_gapped_but_ordered_log():
