@@ -88,7 +88,6 @@ def test_config_round_trips_through_its_dict_form():
         ({"learning": {"utility_step": 0}}, "learning.utility_step"),
         ({"learning": {"successor_keying": "bogus"}}, "learning.successor_keying"),
         ({"gc": {"horizon": -1}}, "gc.horizon"),
-        ({"gc": {"horizon": 0}}, "gc.horizon"),
         ({"gc": {"min_trust": -1}}, "gc.min_trust"),
         ({"gc": {"interval": -2}}, "gc.interval"),
         ({"out_dir": 7}, "out_dir"),
@@ -97,6 +96,7 @@ def test_config_round_trips_through_its_dict_form():
         ({"profile": {"weights": [1.0, 0.5, 0.1, 1e999]}}, "profile.weights[3]"),
         ({"profile": {"weights": [-1e999, 0.5, 0.1, 0.1]}}, "profile.weights[0]"),
         ({"profile": {"energy_weight": float("nan")}}, "profile.energy_weight"),
+        ({"gc": {"horizon": 0}}, "gc.horizon"),
     ],
 )
 def test_config_errors_name_the_offending_field(data, field):
