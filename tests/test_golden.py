@@ -1,4 +1,4 @@
-"""Pinned output bytes: metrics CSV and snapshot hashes of five small runs.
+"""Pinned output bytes: metrics CSV and snapshot hashes of six small runs.
 
 Any change to keys, tables, decisions or serialization that moves a single
 byte of either output fails here.  The hashes were taken from the
@@ -52,6 +52,14 @@ GOLDEN = (
         {"window_size": 3, "board": {"feedback_delay": 2}, "gc": {"horizon": 50, "interval": 10, "min_trust": 5}},
         "bebaf915586d1be6f0797952f7eb88aa189c3e6c84ecade29ce4df08be4674f3",
         "626d6001f2a1e5243b1937583710008c34232281092180dc4c14387d445113b9",
+    ),
+    # The only pin with a nonzero predictability weight: every learning
+    # update adds the weighted distance between predicted and actual state.
+    (
+        "delay2-predictability",
+        {"learning": {"predictability_weight": 0.5}, "board": {"feedback_delay": 2}},
+        "58cfc17112ebfd0a83d04ac33fe65ecd4160f5e8c7e6c18815675d3b98a6b093",
+        "c2d0303cebd23e3e3859100ecbaf9ef4adce294b38d59d076ba391e9a8f2da6f",
     ),
 )
 
