@@ -43,7 +43,7 @@ from needagent.model import (
     rebuild_from_log,
     tables_equal,
 )
-from needagent.pingpong import BoardConfig, PingPong
+from needagent.pingpong import BoardConfig, PingPong, build_schema
 
 ROLLING_WINDOW_EVENTS = 100
 
@@ -413,7 +413,9 @@ def snapshot_from_run(result: RunResult) -> MemorySnapshot:
 def verify_snapshot(snapshot: MemorySnapshot, utility_tolerance: float = 1e-12) -> list[str]:
     """Replay the snapshot's log and diff the rebuilt model against the stored
     tables.  Returns human-readable problems; empty means verified.  An
-    invalid embedded config is a :class:`SnapshotError` naming ``config.<field>``."""
+    invalid embedded config is a :class:`SnapshotError` naming ``config.<field>``.
+    A schema other than the embedded board's is reported without a replay,
+    which could not learn from states of another shape."""
     problems: list[str] = []
     try:
         config = config_from_dict(snapshot.config)
@@ -421,6 +423,8 @@ def verify_snapshot(snapshot: MemorySnapshot, utility_tolerance: float = 1e-12) 
         raise SnapshotError(f"config.{exc}") from exc
     if config_fingerprint(config) != snapshot.config_fingerprint:
         problems.append("config_fingerprint does not match the embedded config")
+    if snapshot.schema != build_schema(config.board):
+        return problems + ["schema does not match the board of the embedded config"]
     rebuilt = rebuild_from_log(
         snapshot.log,
         config.learning_params(),

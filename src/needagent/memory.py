@@ -13,6 +13,7 @@ values, so anything handed out stays bytewise stable.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -32,6 +33,9 @@ from needagent.core import (
 )
 
 SNAPSHOT_VERSION = 1
+
+_SNAPSHOT_KEYS = ("version", "schema", "log", "model", "config", "config_fingerprint")
+MODEL_SECTIONS = ("window_size", "successor_keying", "utility", "evidence", "successors", "state_seen")
 
 
 class SnapshotError(ValueError):
@@ -225,7 +229,7 @@ def schema_from_dict(data: dict) -> StateSchema:
             actions=tuple(data["actions"]),
             needs=tuple(data["needs"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, SchemaError) as exc:
         raise SnapshotError(f"schema: {exc}") from exc
 
 
@@ -289,7 +293,7 @@ def record_from_dict(schema: StateSchema, data: dict, where: str) -> TransitionR
         raise SnapshotError(f"{where}.predicted_next: missing") from exc
     try:
         tick = data["tick"]
-        if not isinstance(tick, int):
+        if not _is_count(tick):
             raise SnapshotError(f"{where}.tick: expected an integer, got {tick!r}")
         return TransitionRecord(
             tick=tick,
@@ -313,12 +317,16 @@ def _check_model_tables(model: dict) -> None:
     ``window_size`` is an integer and ``successor_keying`` a string;
     ``utility``, ``evidence`` and ``successors`` are objects of objects, with
     finite utilities and integer evidence; ``state_seen`` is an object of
-    integers.  A missing section is left to verification, which reports it
-    as a difference.
+    integers; no other section is present.  A missing section is left to
+    verification, which reports it as a difference.
     """
 
     def fail(where: str, what: str):
         raise SnapshotError(f"model.{where}: expected {what}")
+
+    for key in model:
+        if key not in MODEL_SECTIONS:
+            raise SnapshotError(f"model.{key}: unknown field")
 
     if "window_size" in model and not _is_count(model["window_size"]):
         fail("window_size", "an integer")
@@ -348,6 +356,25 @@ def _check_model_tables(model: dict) -> None:
                     fail(f"{section}[{hk!r}][{sk!r}]", f"{what}, got {value!r}")
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for the block.
+
+    Decoding or encoding a snapshot builds millions of containers (JSON
+    values, states, records), none of which can form a cycle, yet their
+    allocations trigger collections, several of which walk the whole heap.
+    Reference counting still frees them.  On exit the collector is enabled
+    again only if it was enabled on entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass(frozen=True)
 class MemorySnapshot:
     """Everything needed to rebuild and verify a run's memory."""
@@ -360,6 +387,7 @@ class MemorySnapshot:
     version: int = SNAPSHOT_VERSION
 
 
+@collector_paused()
 def dumps_snapshot(snap: MemorySnapshot) -> str:
     """Canonical JSON text: sorted keys, no incidental whitespace, LF ending.
 
@@ -380,6 +408,7 @@ def _reject_constant(token: str):
     raise SnapshotError(f"not valid JSON: {token} is not a number")
 
 
+@collector_paused()
 def loads_snapshot(text: str) -> MemorySnapshot:
     try:
         payload = json.loads(text, parse_constant=_reject_constant)
@@ -387,11 +416,14 @@ def loads_snapshot(text: str) -> MemorySnapshot:
         raise SnapshotError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SnapshotError("top level: expected an object")
-    for key in ("version", "schema", "log", "model", "config", "config_fingerprint"):
+    for key in _SNAPSHOT_KEYS:
         if key not in payload:
             raise SnapshotError(f"{key}: missing")
+    for key in payload:
+        if key not in _SNAPSHOT_KEYS:
+            raise SnapshotError(f"{key}: unknown field")
     version = payload["version"]
-    if not isinstance(version, int):
+    if not _is_count(version):
         raise SnapshotError(f"version: expected an integer, got {version!r}")
     if version > SNAPSHOT_VERSION:
         raise SnapshotVersionError(

@@ -27,6 +27,7 @@ from needagent.core import (
     state_key,
 )
 from needagent.memory import (
+    MODEL_SECTIONS,
     EpisodeLog,
     HistoryWindow,
     Segment,
@@ -159,7 +160,7 @@ class TransitionModel:
 
     @classmethod
     def from_tables(cls, tables: dict, schema: StateSchema) -> "TransitionModel":
-        for key in ("window_size", "successor_keying", "utility", "evidence", "successors", "state_seen"):
+        for key in MODEL_SECTIONS:
             if key not in tables:
                 raise SnapshotError(f"model.{key}: missing")
         model = cls(
@@ -228,7 +229,9 @@ def _l_value(
     energy: float,
 ) -> float:
     value = explicit_term - params.priority.energy_weight * energy
-    if predicted is not None:
+    # At weight zero the term is exactly +0.0, and ``value`` is never -0.0
+    # (reinforcement sums from the integer 0), so skipping it keeps every bit.
+    if predicted is not None and params.predictability_weight:
         value += params.predictability_weight * (1.0 - state_distance(predicted, next_state))
     return value
 
@@ -245,7 +248,7 @@ def learn_transition(
 
     The explicit term is the priority-weighted actualization drop from the
     window's newest state to ``next_state``; the predictability term is
-    omitted when no prediction was made.
+    omitted when no prediction was made or its weight is zero.
     """
     if len(history) == 0:
         raise UsageError("learn_transition requires a non-empty history window")

@@ -202,6 +202,11 @@ def _set_row(payload, section, row):
     payload["model"][section]["h"] = row
 
 
+def _repeat_a_variable_name(payload):
+    schema = payload["schema"]
+    schema["actions"][0] = schema["needs"][0]
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -223,12 +228,18 @@ def _set_row(payload, section, row):
         (lambda p: p["model"].__setitem__("state_seen", []), "model.state_seen: expected an object"),
         (lambda p: p["model"].__setitem__("window_size", "1"), "model.window_size: expected an integer"),
         (lambda p: p["model"].__setitem__("successor_keying", 7), "model.successor_keying: expected a string"),
+        (lambda p: p["model"].__setitem__("bogus", {"x": 1}), "model.bogus: unknown field"),
+        (lambda p: p.__setitem__("bogus", {"x": 1}), "bogus: unknown field"),
+        (_repeat_a_variable_name, "schema: variable names must be unique"),
+        (lambda p: p.__setitem__("version", True), "version: expected an integer, got True"),
+        (lambda p: p["log"][0].__setitem__("tick", False), "log[0].tick: expected an integer, got False"),
     ],
     ids=[
         "nan-utility", "record-not-an-object", "energy-string", "reinforcement-string", "bad-config",
         "utility-number", "utility-row-number", "utility-row-list", "evidence-float",
         "successors-row-list", "utility-string", "state-seen-string", "state-seen-list",
         "window-size-string", "successor-keying-number",
+        "model-unknown-key", "top-level-unknown-key", "schema-duplicate-names", "version-bool", "tick-bool",
     ],
 )
 def test_replay_reports_a_malformed_snapshot_field(snapshot_path, capsys, change, message):
@@ -236,6 +247,27 @@ def test_replay_reports_a_malformed_snapshot_field(snapshot_path, capsys, change
     capsys.readouterr()
     assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_IO
     assert capsys.readouterr().err.startswith(f"snapshot error: {message}")
+
+
+def _drop_a_need_everywhere(payload):
+    """A consistent snapshot with three needs, where the board has four."""
+    payload["schema"]["needs"].pop()
+    states = [rec[key] for rec in payload["log"] for key in ("state", "next_state", "predicted_next")]
+    states += [state for row in payload["model"]["successors"].values() for state in row.values()]
+    for state in filter(None, states):
+        state["y"].pop()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda p: p["schema"]["feelings"][0].__setitem__("name", "renamed"), _drop_a_need_everywhere],
+    ids=["renamed-feeling", "three-needs"],
+)
+def test_replay_reports_a_schema_other_than_the_boards(snapshot_path, capsys, change):
+    _tamper(snapshot_path, change)
+    capsys.readouterr()
+    assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_VERIFY
+    assert "mismatch: schema does not match the board" in capsys.readouterr().err
 
 
 def test_replay_reports_malformed_snapshots_as_io_errors(tmp_path, capsys):

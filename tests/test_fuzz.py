@@ -1,0 +1,142 @@
+"""Hostile inputs: arbitrary JSON and text fed to the config, snapshot and
+metrics CSV readers.
+
+Each input either parses into valid objects or fails with the documented
+error type: ``ConfigError`` for configs and metrics files, ``SnapshotError``
+for snapshots.  Any other exception would end the CLI in a traceback.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from needagent.harness import (
+    CSV_COLUMNS,
+    ConfigError,
+    config_from_dict,
+    metrics_from_csv,
+    run,
+    snapshot_from_run,
+    verify_snapshot,
+)
+from needagent.memory import SnapshotError, dumps_snapshot, loads_snapshot
+
+# Any JSON value, NaN and the infinities included: ``json.load`` accepts
+# them in config files, and they reach ``loads_snapshot`` as bare tokens.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+DELETE = object()  # a replacement that removes the field instead
+
+
+def _paths(value, prefix=()):
+    """Paths to every field of a JSON value, keeping it small: the first
+    and last items of a list and at most two keys of a large object."""
+    if isinstance(value, dict):
+        keys = list(value) if len(value) <= 16 else list(value)[:2]
+    elif isinstance(value, list):
+        keys = sorted({0, len(value) - 1}) if value else []
+    else:
+        return []
+    paths = []
+    for key in keys:
+        paths.append(prefix + (key,))
+        paths.extend(_paths(value[key], prefix + (key,)))
+    return paths
+
+
+def _get(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _replaced(payload, path, value):
+    payload = copy.deepcopy(payload)
+    parent = _get(payload, path[:-1])
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return payload
+
+
+def mutations(payload: dict) -> st.SearchStrategy:
+    """``payload`` with one field removed or replaced, by any JSON value or
+    by a scalar from the same top-level section.  Drawing the section
+    first keeps the small ones (``schema``, ``version``) as likely as the
+    large ones; splicing makes near misses such as a repeated name."""
+    sections: dict = {}
+    for path in _paths(payload):
+        sections.setdefault(path[0], []).append(path)
+
+    def mutate(paths):
+        leaves = [_get(payload, path) for path in paths]
+        spliced = st.sampled_from([leaf for leaf in leaves if not isinstance(leaf, (dict, list))] or leaves)
+        return st.builds(_replaced, st.just(payload), st.sampled_from(paths), JSON | spliced | st.just(DELETE))
+
+    return st.sampled_from(list(sections.values())).flatmap(mutate)
+
+
+# A config that sets a field in every section, so that each section is a
+# mutation target; the snapshot of its run is the other base input.
+_CONFIG = {
+    "seed": 0,
+    "ticks": 40,
+    "window_size": 2,
+    "strategy": "transition-map",
+    "board": {"feedback_delay": 1},
+    "profile": {"weights": [1.0, 0.25, 0.1, 0.1], "energy_weight": 0.1},
+    "policy": {"mode": "prospected", "exploration_rate": 0.2},
+    "learning": {"predictability_weight": 0.5, "successor_keying": "state"},
+    "gc": {"horizon": None},
+}
+
+_SNAPSHOT = json.loads(dumps_snapshot(snapshot_from_run(run(config_from_dict(_CONFIG)))))
+
+
+_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_FUZZ
+@given(data=JSON | mutations(_CONFIG))
+def test_config_from_dict_raises_only_config_errors(data):
+    try:
+        config_from_dict(data)
+    except ConfigError:
+        pass
+
+
+@settings(_FUZZ, max_examples=300)
+@given(payload=mutations(_SNAPSHOT))
+def test_snapshot_fields_raise_only_snapshot_errors(payload):
+    text = json.dumps(payload)
+    try:
+        verify_snapshot(loads_snapshot(text))
+    except (ConfigError, SnapshotError):
+        pass
+
+
+def test_the_unmutated_snapshot_verifies():
+    assert verify_snapshot(loads_snapshot(json.dumps(_SNAPSHOT))) == []
+
+
+_HEADER = ",".join(CSV_COLUMNS)
+_CELL = st.sampled_from(["0", "1", "-1", "0.5", "nan", "inf", "-0", "1e999", "1_0", " 2", "x", "", "١"]) | st.text(max_size=4)
+_ROW = st.lists(_CELL, min_size=len(CSV_COLUMNS) - 1, max_size=len(CSV_COLUMNS) + 1).map(",".join)
+
+
+@_FUZZ
+@given(text=st.text() | st.lists(_ROW, max_size=4).map(lambda rows: "\n".join([_HEADER, *rows])))
+def test_metrics_from_csv_raises_only_config_errors(text):
+    try:
+        metrics_from_csv(text)
+    except ConfigError:
+        pass

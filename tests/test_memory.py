@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from needagent import memory
+from needagent.cli import EXIT_IO, main
 from needagent.core import UsageError
 from needagent.memory import (
     SNAPSHOT_VERSION,
@@ -378,3 +381,77 @@ def test_save_snapshot_keeps_the_old_file_when_serialization_fails(tmp_path, mon
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["snapshot.json"]
+
+
+# ----------------------------------------------------------------------
+# the cyclic collector around snapshot encoding and decoding
+# ----------------------------------------------------------------------
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run the block with the collector on or off, and switch it back on
+    afterwards even if the block fails."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_snapshot_codec_runs_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def spy(name):
+        original = getattr(memory, name)
+
+        def wrapper(*args):
+            seen.append((name, gc.isenabled()))
+            return original(*args)
+
+        monkeypatch.setattr(memory, name, wrapper)
+
+    spy("record_to_dict")
+    spy("record_from_dict")
+    with collector(True):
+        loads_snapshot(dumps_snapshot(make_snapshot()))
+        assert gc.isenabled()
+    assert seen == [("record_to_dict", False)] * 3 + [("record_from_dict", False)] * 3
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_snapshot_codec_leaves_the_collector_as_it_found_it(enabled):
+    broken = json.loads(dumps_snapshot(make_snapshot()))
+    broken["log"][2]["energy"] = "x"
+    with collector(enabled):
+        text = dumps_snapshot(make_snapshot())
+        assert gc.isenabled() is enabled
+        loads_snapshot(text)
+        assert gc.isenabled() is enabled
+        for bad in ("{nope", json.dumps(broken)):
+            with pytest.raises(SnapshotError):
+                loads_snapshot(bad)
+            assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_failing_dump_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    def failing_record_to_dict(rec):
+        raise RuntimeError("serialization failed")
+
+    monkeypatch.setattr(memory, "record_to_dict", failing_record_to_dict)
+    with collector(enabled):
+        with pytest.raises(RuntimeError):
+            dumps_snapshot(make_snapshot())
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_replay_of_a_malformed_snapshot_leaves_the_collector_as_it_found_it(enabled, tmp_path):
+    payload = json.loads(dumps_snapshot(make_snapshot()))
+    payload["log"][1]["tick"] = True
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with collector(enabled):
+        assert main(["replay", "--snapshot", str(path)]) == EXIT_IO
+        assert gc.isenabled() is enabled
