@@ -19,12 +19,11 @@ import json
 import os
 import sys
 
-from needagent.core import PriorityProfile
 from needagent.harness import (
     ConfigError,
     RunConfig,
     config_from_dict,
-    profile_from_dict,
+    profiles_from_list,
     read_metrics,
     run,
     snapshot_from_run,
@@ -45,9 +44,13 @@ EXIT_VERIFY = 3
 OUT_DIR_ENV = "NEEDAGENT_OUT"
 
 
-def _load_config(path: str, seed: int | None) -> RunConfig:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        return json.load(fh)
+
+
+def _load_config(path: str, seed: int | None) -> RunConfig:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object")
     if seed is not None:
@@ -61,25 +64,6 @@ def _resolve_out_dir(flag_value: str | None, config: RunConfig | None) -> str:
     if config is not None and config.out_dir:
         return config.out_dir
     return os.environ.get(OUT_DIR_ENV) or "."
-
-
-def _load_profiles(path: str) -> list[tuple[str, PriorityProfile]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list) or not data:
-        raise ConfigError("profiles: expected a non-empty JSON list")
-    profiles = []
-    for i, item in enumerate(data):
-        if not isinstance(item, dict):
-            raise ConfigError(f"profiles[{i}]: expected an object")
-        fields = dict(item)
-        label = fields.pop("label", None)
-        if not isinstance(label, str) or not label:
-            raise ConfigError(f"profiles[{i}].label: expected a non-empty string")
-        if "weights" not in fields:
-            raise ConfigError(f"profiles[{i}].weights: missing")
-        profiles.append((label, profile_from_dict(fields, f"profiles[{i}]")))
-    return profiles
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -125,7 +109,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config, None)
-    profiles = _load_profiles(args.profiles)
+    profiles = profiles_from_list(_read_json(args.profiles))
     seeds = _parse_seed_range(args.seeds)
     out_dir = _resolve_out_dir(args.out, config)
     os.makedirs(out_dir, exist_ok=True)

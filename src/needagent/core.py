@@ -152,10 +152,6 @@ class MotivationVector:
 
     values: tuple[float, ...]
 
-    def total(self) -> float:
-        """Scalar reading: overall drive as the sum over needs."""
-        return sum(self.values)
-
 
 @dataclass(frozen=True)
 class ActionCost:

@@ -12,16 +12,16 @@ import hashlib
 import json
 import math
 import statistics
-import sys
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from random import Random
 from typing import Iterable, Sequence
 
 from needagent.core import PriorityProfile, SchemaError, StateSchema
 from needagent.decision import DecisionPolicy, MODES, decide
+from needagent.fields import FieldError, choice, items, number, optional, read, table, valid
 from needagent.memory import (
     EpisodeLog,
     HistoryWindow,
@@ -88,97 +88,56 @@ class RunConfig:
         )
 
 
-def _check(condition: bool, fieldname: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{fieldname}: {message}")
+def _float(*bounds, **kwargs):
+    """A config number, kept as a float whatever its JSON type."""
+    parse = number(float, *bounds, **kwargs)
+    return lambda value: float(parse(value))
 
 
-def _number(kind: type, low: float = -math.inf, high: float = math.inf, low_open: bool = False):
-    """Parser for a finite JSON number, read as ``kind`` (int or float), in
-    ``[low, high]`` or, with ``low_open``, in ``(low, high]``."""
-    expected = "an integer" if kind is int else "a finite number"
-    bounds = f"must be {'>' if low_open else '>='} {low}"
-    if high < math.inf:
-        bounds = f"must be in {'(' if low_open else '['}{low}, {high}]"
-
-    def parse(value, fieldname: str):
-        number = isinstance(value, (kind, int)) and not isinstance(value, bool)
-        finite = number and (kind is int or abs(value) <= sys.float_info.max)
-        _check(finite, fieldname, f"expected {expected}")
-        value = kind(value)
-        _check(low < value <= high if low_open else low <= value <= high, fieldname, bounds)
-        return value
-
-    return parse
+_WEIGHT_ITEMS = items(_float(0))
 
 
-def _valid(test, message: str):
-    """Parser that keeps a value passing ``test`` and rejects anything else."""
-
-    def parse(value, fieldname: str):
-        _check(test(value), fieldname, message)
-        return value
-
-    return parse
-
-
-def _optional(parse):
-    return lambda value, fieldname: None if value is None else parse(value, fieldname)
-
-
-def _choice(options: tuple[str, ...]):
-    return _valid(lambda value: value in options, f"expected one of {list(options)}")
-
-
-def _weights(value, fieldname: str) -> tuple[float, ...]:
-    shaped = isinstance(value, (list, tuple)) and len(value) == 4
-    _check(shaped, fieldname, "expected a list of 4 numbers")
-    weight = _number(float, 0)
-    return tuple(weight(w, f"{fieldname}[{i}]") for i, w in enumerate(value))
+def _weights(value) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != 4:
+        raise FieldError("expected a list of 4 numbers")
+    return tuple(_WEIGHT_ITEMS(value))
 
 
 # One row per config field: (config-file path, RunConfig attribute, parser).
 # A dotted path is a field inside a section object; a dotted attribute is a
 # field of a nested record.  Absent fields keep their ``RunConfig()`` value.
 _FIELDS = (
-    ("seed", "seed", _number(int)),
-    ("ticks", "ticks", _number(int, 0)),
-    ("board.width", "board.width", _number(int)),
-    ("board.height", "board.height", _number(int)),
-    ("board.racket_width", "board.racket_width", _number(int)),
-    ("board.feedback_delay", "board.feedback_delay", _number(int)),
-    ("board.need_levels", "board.need_levels", _number(int)),
+    ("seed", "seed", number(int)),
+    ("ticks", "ticks", number(int, 0)),
+    ("board.width", "board.width", number(int)),
+    ("board.height", "board.height", number(int)),
+    ("board.racket_width", "board.racket_width", number(int)),
+    ("board.feedback_delay", "board.feedback_delay", number(int)),
+    ("board.need_levels", "board.need_levels", number(int)),
     ("profile.weights", "profile.weights", _weights),
-    ("profile.energy_weight", "profile.energy_weight", _number(float, 0)),
-    ("strategy", "strategy", _choice(STRATEGIES)),
-    ("window_size", "window_size", _number(int, 1)),
-    ("policy.mode", "policy_mode", _choice(MODES)),
-    ("policy.exploration_rate", "exploration_rate", _number(float, 0, 1)),
-    ("learning.utility_step", "utility_step", _number(float, 0, 1, low_open=True)),
-    ("learning.predictability_weight", "predictability_weight", _number(float, 0)),
-    ("learning.successor_keying", "successor_keying", _choice(SUCCESSOR_KEYINGS)),
-    ("gc.horizon", "gc_horizon", _optional(_number(float, 0, low_open=True))),
-    ("gc.min_trust", "gc_min_trust", _number(int, 0)),
-    ("gc.interval", "gc_interval", _number(int, 0)),
-    ("out_dir", "out_dir", _optional(_valid(lambda v: isinstance(v, str), "expected a string"))),
+    ("profile.energy_weight", "profile.energy_weight", _float(0)),
+    ("strategy", "strategy", choice(STRATEGIES)),
+    ("window_size", "window_size", number(int, 1)),
+    ("policy.mode", "policy_mode", choice(MODES)),
+    ("policy.exploration_rate", "exploration_rate", _float(0, 1)),
+    ("learning.utility_step", "utility_step", _float(0, 1, low_open=True)),
+    ("learning.predictability_weight", "predictability_weight", _float(0)),
+    ("learning.successor_keying", "successor_keying", choice(SUCCESSOR_KEYINGS)),
+    ("gc.horizon", "gc_horizon", optional(_float(0, low_open=True))),
+    ("gc.min_trust", "gc_min_trust", number(int, 0)),
+    ("gc.interval", "gc_interval", number(int, 0)),
+    ("out_dir", "out_dir", optional(valid(lambda v: isinstance(v, str), "expected a string"))),
 )
+_CONFIG = table(_FIELDS)
 
-
-def _read(data, rows, where: str) -> dict:
-    """Parsed values of the fields present in ``data``, keyed by attribute.
-    A dotted row path descends into a section; unknown keys are errors."""
-    _check(isinstance(data, dict), where or "config", "expected an object")
-    values = {}
-    for key, value in data.items():
-        name = f"{where}.{key}" if where else key
-        inner = [(path.partition(".")[2], attr, parse) for path, attr, parse in rows
-                 if path.partition(".")[0] == key]
-        _check(bool(inner), name, "unknown field")
-        if inner[0][0]:
-            values.update(_read(value, inner, name))
-        else:
-            values[inner[0][1]] = inner[0][2](value, name)
-    return values
+# A ``--profiles`` entry: a label and the config's profile rows.
+_PROFILES = items(table(
+    [("label", "label", valid(lambda v: isinstance(v, str) and v, "expected a non-empty string"))]
+    + [(path.partition(".")[2], attr.partition(".")[2], parse)
+       for path, attr, parse in _FIELDS if path.startswith("profile.")],
+    lambda label, **changes: (label, replace(RunConfig().profile, **changes)),
+    ("label", "weights"),
+))
 
 
 def _build(defaults, values: dict):
@@ -187,17 +146,14 @@ def _build(defaults, values: dict):
     for attr in [attr for attr in values if "." in attr]:
         outer, _, inner = attr.partition(".")
         nested.setdefault(outer, {})[inner] = values.pop(attr)
-    for outer, fields in nested.items():
-        values[outer] = replace(getattr(defaults, outer), **fields)
+    for outer, changes in nested.items():
+        values[outer] = replace(getattr(defaults, outer), **changes)
     return replace(defaults, **values)
 
 
-def profile_from_dict(data, fieldname: str) -> PriorityProfile:
-    """Validate one priority profile, the config's ``profile`` section or one
-    ``--profiles`` entry, with the table's profile rows."""
-    rows = [(path.partition(".")[2], attr.partition(".")[2], parse)
-            for path, attr, parse in _FIELDS if path.startswith("profile.")]
-    return _build(RunConfig().profile, _read(data, rows, fieldname))
+def profiles_from_list(data) -> list[tuple[str, PriorityProfile]]:
+    """Validate a ``--profiles`` file: a list of labelled priority profiles."""
+    return read(_PROFILES, data, ConfigError, "profiles")
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -206,7 +162,7 @@ def config_from_dict(data: dict) -> RunConfig:
     Raises :class:`ConfigError` naming the offending field.
     """
     try:
-        return _build(RunConfig(), _read(data, _FIELDS, ""))
+        return _build(RunConfig(), read(_CONFIG, data, ConfigError))
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -442,20 +398,7 @@ def verify_snapshot(snapshot: MemorySnapshot, utility_tolerance: float = 1e-12) 
 # metrics serialization
 # ======================================================================
 
-CSV_COLUMNS = (
-    "tick",
-    "happy",
-    "sad",
-    "novelty",
-    "expectedness",
-    "feedback",
-    "cumulative_hits",
-    "cumulative_misses",
-    "rolling_hit_rate",
-    "explored",
-    "energy",
-)
-
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 _FLOAT_COLUMNS = {"happy", "sad", "novelty", "expectedness", "feedback", "rolling_hit_rate", "energy"}
 
 
@@ -476,29 +419,32 @@ def metrics_to_csv(rows: Sequence[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FINITE = number(float)
+_BIT = number(int, 0, 1)
+
+
 def _csv_cell(column: str, cell: str):
     """One metrics cell as its column's type; ValueError if it is not one."""
-    value = (float if column in _FLOAT_COLUMNS else int)(cell)
-    if not math.isfinite(value) or (column == "explored" and value not in (0, 1)):
-        raise ValueError(cell)
-    return value == 1 if column == "explored" else value
+    if column in _FLOAT_COLUMNS:
+        return _FINITE(float(cell))
+    return _BIT(int(cell)) == 1 if column == "explored" else int(cell)
 
 
 def metrics_from_csv(text: str) -> list[MetricsRow]:
-    lines = [(number, line) for number, line in enumerate(text.split("\n"), 1) if line]
+    lines = [(line_no, line) for line_no, line in enumerate(text.split("\n"), 1) if line]
     if not lines or lines[0][1] != ",".join(CSV_COLUMNS):
         raise ConfigError("metrics csv: unexpected header")
     rows = []
-    for number, line in lines[1:]:
+    for line_no, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise ConfigError(f"metrics csv line {number}: {len(cells)} of {len(CSV_COLUMNS)} cells")
+            raise ConfigError(f"metrics csv line {line_no}: {len(cells)} of {len(CSV_COLUMNS)} cells")
         values = {}
         for column, cell in zip(CSV_COLUMNS, cells):
             try:
                 values[column] = _csv_cell(column, cell)
             except ValueError:
-                raise ConfigError(f"metrics csv line {number}, {column}: bad value {cell!r}") from None
+                raise ConfigError(f"metrics csv line {line_no}, {column}: bad value {cell!r}") from None
         rows.append(MetricsRow(**values))
     return rows
 

@@ -17,25 +17,16 @@ import gc
 import json
 import math
 import os
-import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
-from needagent.core import (
-    FeelingVar,
-    SchemaError,
-    StateSchema,
-    StateVector,
-    UsageError,
-)
+from needagent.core import FeelingVar, StateSchema, StateVector, UsageError
+from needagent.fields import entries, items, number, optional, read, table, valid
 
 SNAPSHOT_VERSION = 1
-
-_SNAPSHOT_KEYS = ("version", "schema", "log", "model", "config", "config_fingerprint")
-MODEL_SECTIONS = ("window_size", "successor_keying", "utility", "evidence", "successors", "state_seen")
 
 
 class SnapshotError(ValueError):
@@ -135,10 +126,9 @@ class EpisodeLog:
     tick gaps, and so does a snapshot of it.
     """
 
-    def __init__(self, records: Sequence[TransitionRecord] = ()) -> None:
-        self._records: list[TransitionRecord] = []
-        for rec in records:
-            self.append(rec)
+    def __init__(self, records: Iterable[TransitionRecord] = ()) -> None:
+        """``records`` must already ascend by tick, gaps allowed; they are not checked again."""
+        self._records: list[TransitionRecord] = list(records)
 
     def append(self, rec: TransitionRecord) -> None:
         if self._records and rec.tick != self._records[-1].tick + 1:
@@ -188,10 +178,8 @@ def garbage_collect(
     ``evidence``: the caller has proven them trusted for good.
     """
     records = log._records
-    gc_log = EpisodeLog()
     if not records or retention_horizon == math.inf:
-        gc_log._records = list(records)
-        return gc_log
+        return EpisodeLog(records)
     start = bisect_left(records, trusted_below, key=attrgetter("tick"))
     latest = records[-1].tick
     protected = {rec.tick for rec in log.open_tail()}
@@ -200,9 +188,7 @@ def garbage_collect(
         old = latest - rec.tick >= retention_horizon
         if rec.tick in protected or not old or evidence(rec) >= min_trust:
             survivors.append(rec)
-    # Survivors may no longer be contiguous; bypass the append tick check.
-    gc_log._records = survivors
-    return gc_log
+    return EpisodeLog(survivors)
 
 
 # ======================================================================
@@ -218,21 +204,6 @@ def schema_to_dict(schema: StateSchema) -> dict:
     }
 
 
-def schema_from_dict(data: dict) -> StateSchema:
-    try:
-        feelings = tuple(
-            FeelingVar(name=f["name"], cardinality=f["cardinality"])
-            for f in data["feelings"]
-        )
-        return StateSchema(
-            feelings=feelings,
-            actions=tuple(data["actions"]),
-            needs=tuple(data["needs"]),
-        )
-    except (KeyError, TypeError, SchemaError) as exc:
-        raise SnapshotError(f"schema: {exc}") from exc
-
-
 def state_to_dict(state: StateVector) -> dict:
     return {
         "f": list(state.feelings),
@@ -240,19 +211,6 @@ def state_to_dict(state: StateVector) -> dict:
         "y": list(state.needs),
         "tick": state.tick,
     }
-
-
-def state_from_dict(schema: StateSchema, data: dict, where: str) -> StateVector:
-    try:
-        return StateVector(
-            schema=schema,
-            feelings=tuple(data["f"]),
-            actions=tuple(bool(a) for a in data["a"]),
-            needs=tuple(data["y"]),
-            tick=data["tick"],
-        )
-    except (KeyError, TypeError, SchemaError) as exc:
-        raise SnapshotError(f"{where}: {exc}") from exc
 
 
 def record_to_dict(rec: TransitionRecord) -> dict:
@@ -265,95 +223,6 @@ def record_to_dict(rec: TransitionRecord) -> dict:
         "energy": rec.energy,
         "next_state": state_to_dict(rec.next_state),
     }
-
-
-def _is_finite(value) -> bool:
-    # Comparing against the largest float rejects NaN and the infinities, and
-    # never overflows on an integer too large for a float.
-    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite_number(data: dict, key: str, where: str) -> float:
-    value = data[key]
-    if not _is_finite(value):
-        raise SnapshotError(f"{where}.{key}: expected a finite number, got {value!r}")
-    return value
-
-
-def record_from_dict(schema: StateSchema, data: dict, where: str) -> TransitionRecord:
-    if not isinstance(data, dict):
-        raise SnapshotError(f"{where}: expected an object")
-    try:
-        predicted = data["predicted_next"]
-    except KeyError as exc:
-        raise SnapshotError(f"{where}.predicted_next: missing") from exc
-    try:
-        tick = data["tick"]
-        if not _is_count(tick):
-            raise SnapshotError(f"{where}.tick: expected an integer, got {tick!r}")
-        return TransitionRecord(
-            tick=tick,
-            state=state_from_dict(schema, data["state"], f"{where}.state"),
-            chosen_action=tuple(bool(a) for a in data["chosen_action"]),
-            predicted_next=(
-                None if predicted is None
-                else state_from_dict(schema, predicted, f"{where}.predicted_next")
-            ),
-            reinforcement_observed=_finite_number(data, "reinforcement", where),
-            energy=_finite_number(data, "energy", where),
-            next_state=state_from_dict(schema, data["next_state"], f"{where}.next_state"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SnapshotError(f"{where}: {exc}") from exc
-
-
-def _check_model_tables(model: dict) -> None:
-    """Check the shape that verification relies on when it compares tables.
-
-    ``window_size`` is an integer and ``successor_keying`` a string;
-    ``utility``, ``evidence`` and ``successors`` are objects of objects, with
-    finite utilities and integer evidence; ``state_seen`` is an object of
-    integers; no other section is present.  A missing section is left to
-    verification, which reports it as a difference.
-    """
-
-    def fail(where: str, what: str):
-        raise SnapshotError(f"model.{where}: expected {what}")
-
-    for key in model:
-        if key not in MODEL_SECTIONS:
-            raise SnapshotError(f"model.{key}: unknown field")
-
-    if "window_size" in model and not _is_count(model["window_size"]):
-        fail("window_size", "an integer")
-    if "successor_keying" in model and not isinstance(model["successor_keying"], str):
-        fail("successor_keying", "a string")
-    seen = model.get("state_seen", {})
-    if not isinstance(seen, dict):
-        fail("state_seen", "an object")
-    for key, count in seen.items():
-        if not _is_count(count):
-            fail(f"state_seen[{key!r}]", f"an integer, got {count!r}")
-    for section, test, what in (
-        ("utility", _is_finite, "a finite number"),
-        ("evidence", _is_count, "an integer"),
-        ("successors", None, None),
-    ):
-        rows = model.get(section, {})
-        if not isinstance(rows, dict):
-            fail(section, "an object")
-        for hk, row in rows.items():
-            if not isinstance(row, dict):
-                fail(f"{section}[{hk!r}]", "an object")
-            if test is None:
-                continue
-            for sk, value in row.items():
-                if not test(value):
-                    fail(f"{section}[{hk!r}][{sk!r}]", f"{what}, got {value!r}")
 
 
 @contextmanager
@@ -408,53 +277,79 @@ def _reject_constant(token: str):
     raise SnapshotError(f"not valid JSON: {token} is not a number")
 
 
+# One table of rows per snapshot object, as for the config.  Numbers are kept
+# as written, so a loaded snapshot re-encodes to the same bytes.
+_INTEGER, _NUMBER, _ACTION_CODES = number(int), number(float), items(number(int, 0, 1))
+_STRING = valid(lambda value: isinstance(value, str), "expected a string")
+_STATE = (("f", "f", items(_INTEGER)), ("a", "a", _ACTION_CODES), ("y", "y", items(_NUMBER)),
+          ("tick", "tick", _INTEGER))
+_FEELING = table((("name", "name", _STRING), ("cardinality", "cardinality", _INTEGER)), FeelingVar, True)
+_SCHEMA = table(
+    (("feelings", "feelings", items(_FEELING)), ("actions", "actions", items(_STRING)),
+     ("needs", "needs", items(_STRING))),
+    lambda feelings, actions, needs: StateSchema(tuple(feelings), tuple(actions), tuple(needs)),
+    True,
+)
+# A missing section is left to verification, which reports it as a
+# difference.  Successor states are checked, not built.
+_MODEL = table((
+    ("window_size", "window_size", _INTEGER),
+    ("successor_keying", "successor_keying", _STRING),
+    ("utility", "utility", entries(entries(_NUMBER))),
+    ("evidence", "evidence", entries(entries(_INTEGER))),
+    ("successors", "successors", entries(entries(table(_STATE, required=True)))),
+    ("state_seen", "state_seen", entries(_INTEGER)),
+))
+_SNAPSHOT = table((
+    ("version", "version", _INTEGER),
+    ("schema", "schema", _SCHEMA),
+    ("log", "log", lambda value: value),  # read by ``_log`` once the schema is known
+    ("model", "model_tables", _MODEL),
+    ("config", "config", valid(lambda value: isinstance(value, dict), "expected an object")),
+    ("config_fingerprint", "config_fingerprint", _STRING),
+), required=True)
+
+
+def _log(schema: StateSchema):
+    """Parser for the log, whose states are built on ``schema``.  A state equal
+    to the one built just before it, types included, is that same object, as
+    in a live run, where a record's state is the previous one's next state."""
+    last = [(None,) * 4, None]  # the fields and the state built last
+
+    def build(f: list, a: list, y: list, tick: int) -> StateVector:
+        if (f, a, y, tick) != last[0] or [*map(type, y)] != [*map(type, last[0][2])]:
+            last[:] = (f, a, y, tick), StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
+        return last[1]
+
+    state = table(_STATE, build, True)
+    return items(table((
+        ("tick", "tick", _INTEGER),
+        ("state", "state", state),
+        ("chosen_action", "chosen_action", lambda value: tuple(map(bool, _ACTION_CODES(value)))),
+        ("predicted_next", "predicted_next", optional(state)),
+        ("reinforcement", "reinforcement_observed", _NUMBER),
+        ("energy", "energy", _NUMBER),
+        ("next_state", "next_state", state),
+    ), TransitionRecord, True))
+
+
 @collector_paused()
 def loads_snapshot(text: str) -> MemorySnapshot:
     try:
         payload = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SnapshotError("top level: expected an object")
-    for key in _SNAPSHOT_KEYS:
-        if key not in payload:
-            raise SnapshotError(f"{key}: missing")
-    for key in payload:
-        if key not in _SNAPSHOT_KEYS:
-            raise SnapshotError(f"{key}: unknown field")
-    version = payload["version"]
-    if not _is_count(version):
-        raise SnapshotError(f"version: expected an integer, got {version!r}")
-    if version > SNAPSHOT_VERSION:
+    values = read(_SNAPSHOT, payload, SnapshotError)
+    if values["version"] > SNAPSHOT_VERSION:
         raise SnapshotVersionError(
-            f"version: snapshot version {version} is newer than supported {SNAPSHOT_VERSION}"
+            f"version: snapshot version {values['version']} is newer than supported {SNAPSHOT_VERSION}"
         )
-    schema = schema_from_dict(payload["schema"])
-    if not isinstance(payload["log"], list):
-        raise SnapshotError("log: expected a list")
-    log = EpisodeLog()
-    previous_tick: int | None = None
-    for i, item in enumerate(payload["log"]):
-        rec = record_from_dict(schema, item, f"log[{i}]")
-        if previous_tick is not None and rec.tick <= previous_tick:
-            raise SnapshotError(f"log[{i}].tick: {rec.tick} does not increase")
-        previous_tick = rec.tick
-        log._records.append(rec)  # ticks may be gapped after GC
-    if not isinstance(payload["model"], dict):
-        raise SnapshotError("model: expected an object")
-    _check_model_tables(payload["model"])
-    if not isinstance(payload["config"], dict):
-        raise SnapshotError("config: expected an object")
-    if not isinstance(payload["config_fingerprint"], str):
-        raise SnapshotError("config_fingerprint: expected a string")
-    return MemorySnapshot(
-        schema=schema,
-        log=log,
-        model_tables=payload["model"],
-        config=payload["config"],
-        config_fingerprint=payload["config_fingerprint"],
-        version=version,
-    )
+    records = read(_log(values["schema"]), values["log"], SnapshotError, "log")
+    for i in range(1, len(records)):
+        if records[i].tick <= records[i - 1].tick:
+            raise SnapshotError(f"log[{i}].tick: {records[i].tick} does not increase")
+    values["log"] = EpisodeLog(records)
+    return MemorySnapshot(**values)
 
 
 @contextmanager

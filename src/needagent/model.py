@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from needagent.core import (
     PriorityProfile,
-    StateSchema,
     StateVector,
     UsageError,
     action_key,
@@ -26,16 +25,7 @@ from needagent.core import (
     state_distance,
     state_key,
 )
-from needagent.memory import (
-    MODEL_SECTIONS,
-    EpisodeLog,
-    HistoryWindow,
-    Segment,
-    SnapshotError,
-    TransitionRecord,
-    state_from_dict,
-    state_to_dict,
-)
+from needagent.memory import EpisodeLog, HistoryWindow, Segment, TransitionRecord, state_to_dict
 
 STRATEGY_SEGMENT = "segment"
 STRATEGY_TRANSITION_MAP = "transition-map"
@@ -157,27 +147,6 @@ class TransitionModel:
             },
             "state_seen": dict(self.state_seen),
         }
-
-    @classmethod
-    def from_tables(cls, tables: dict, schema: StateSchema) -> "TransitionModel":
-        for key in MODEL_SECTIONS:
-            if key not in tables:
-                raise SnapshotError(f"model.{key}: missing")
-        model = cls(
-            window_size=tables["window_size"],
-            successor_keying=tables["successor_keying"],
-        )
-        model.utility = {hk: dict(row) for hk, row in tables["utility"].items()}
-        model.evidence = {hk: dict(row) for hk, row in tables["evidence"].items()}
-        model.successor_states = {
-            hk: {
-                sk: state_from_dict(schema, s, f"model.successors[{hk!r}][{sk!r}]")
-                for sk, s in row.items()
-            }
-            for hk, row in tables["successors"].items()
-        }
-        model.state_seen = dict(tables["state_seen"])
-        return model
 
 
 def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[Prospect]:

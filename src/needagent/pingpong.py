@@ -62,20 +62,11 @@ class BoardConfig:
     need_levels: int = 10
 
     def __post_init__(self) -> None:
-        if self.width < 2:
-            raise SchemaError(f"board.width must be >= 2, got {self.width}")
-        if self.height < 2:
-            raise SchemaError(f"board.height must be >= 2, got {self.height}")
+        for name, low in (("width", 2), ("height", 2), ("feedback_delay", 0), ("need_levels", 1)):
+            if getattr(self, name) < low:
+                raise SchemaError(f"board.{name} must be >= {low}, got {getattr(self, name)}")
         if not 1 <= self.racket_width <= self.width:
-            raise SchemaError(
-                f"board.racket_width must be in [1, {self.width}], got {self.racket_width}"
-            )
-        if self.feedback_delay < 0:
-            raise SchemaError(
-                f"board.feedback_delay must be >= 0, got {self.feedback_delay}"
-            )
-        if self.need_levels < 1:
-            raise SchemaError(f"board.need_levels must be >= 1, got {self.need_levels}")
+            raise SchemaError(f"board.racket_width must be in [1, {self.width}], got {self.racket_width}")
 
     @property
     def racket_positions(self) -> int:
@@ -293,26 +284,6 @@ class PingPong:
             needs=needs,
             tick=self._tick,
         )
-
-    def render(self) -> str:
-        """Plain-text frame: one character per cell, racket on the last row."""
-        rows = []
-        racket_row = self.config.height - 1
-        for r in range(self.config.height):
-            cells = []
-            for c in range(self.config.width):
-                on_racket = (
-                    r == racket_row
-                    and self.racket_col <= c < self.racket_col + self.config.racket_width
-                )
-                if c == self.ball_col and r == self.ball_row:
-                    cells.append("o")
-                elif on_racket:
-                    cells.append("=")
-                else:
-                    cells.append(".")
-            rows.append("".join(cells))
-        return "\n".join(rows)
 
 
 def _observable_similarity(

@@ -207,6 +207,15 @@ def _repeat_a_variable_name(payload):
     schema["actions"][0] = schema["needs"][0]
 
 
+def _set_code(state, key, index, before, after):
+    assert state[key][index] == before
+    state[key][index] = after
+
+
+def _set_successor_code(payload):
+    _set_code(payload["model"]["successors"]["0,0,0,1,2"]["1,1,1,1,1"], "f", 0, 1, True)
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -233,6 +242,26 @@ def _repeat_a_variable_name(payload):
         (_repeat_a_variable_name, "schema: variable names must be unique"),
         (lambda p: p.__setitem__("version", True), "version: expected an integer, got True"),
         (lambda p: p["log"][0].__setitem__("tick", False), "log[0].tick: expected an integer, got False"),
+        (lambda p: p["log"][0]["chosen_action"].__setitem__(1, 5), "log[0].chosen_action[1]: must be in [0, 1]"),
+        (
+            lambda p: p["log"][0]["chosen_action"].__setitem__(1, True),
+            "log[0].chosen_action[1]: expected an integer, got True",
+        ),
+        (lambda p: p["log"][1]["state"]["a"].__setitem__(1, 5), "log[1].state.a[1]: must be in [0, 1]"),
+        (
+            lambda p: _set_code(p["log"][40]["predicted_next"], "f", 0, 4, 4.0),
+            "log[40].predicted_next.f[0]: expected an integer, got 4.0",
+        ),
+        (
+            lambda p: _set_code(p["log"][0]["next_state"], "y", 2, 1.0, True),
+            "log[0].next_state.y[2]: expected a finite number, got True",
+        ),
+        (lambda p: p["log"][1]["state"].__setitem__("tick", True), "log[1].state.tick: expected an integer, got True"),
+        (lambda p: p["log"][1]["state"].__setitem__("tick", 1.0), "log[1].state.tick: expected an integer, got 1.0"),
+        (
+            _set_successor_code,
+            "model.successors['0,0,0,1,2']['1,1,1,1,1'].f[0]: expected an integer, got True",
+        ),
     ],
     ids=[
         "nan-utility", "record-not-an-object", "energy-string", "reinforcement-string", "bad-config",
@@ -240,6 +269,8 @@ def _repeat_a_variable_name(payload):
         "successors-row-list", "utility-string", "state-seen-string", "state-seen-list",
         "window-size-string", "successor-keying-number",
         "model-unknown-key", "top-level-unknown-key", "schema-duplicate-names", "version-bool", "tick-bool",
+        "action-code-five", "action-code-bool", "state-action-code-five", "predicted-feeling-float",
+        "need-level-bool", "state-tick-bool", "state-tick-float", "successor-feeling-bool",
     ],
 )
 def test_replay_reports_a_malformed_snapshot_field(snapshot_path, capsys, change, message):
@@ -268,6 +299,13 @@ def test_replay_reports_a_schema_other_than_the_boards(snapshot_path, capsys, ch
     capsys.readouterr()
     assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_VERIFY
     assert "mismatch: schema does not match the board" in capsys.readouterr().err
+
+
+def test_replay_reports_a_missing_model_section_as_a_mismatch(snapshot_path, capsys):
+    _tamper(snapshot_path, lambda p: p["model"].pop("evidence"))
+    capsys.readouterr()
+    assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_VERIFY
+    assert "mismatch: model.evidence differs" in capsys.readouterr().err
 
 
 def test_replay_reports_malformed_snapshots_as_io_errors(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_motivation_is_the_elementwise_product():
     profile = PriorityProfile(weights=(1.0, 0.25, 0.0, 0.0))
     z = motivation(profile, (0.0, 1.0, 0.5, 0.0))
     assert z.values == (0.0, 0.25, 0.0, 0.0)
-    assert z.total() == 0.25
+    assert sum(z.values) == 0.25
 
 
 def test_motivation_length_mismatch():
@@ -142,7 +142,7 @@ def test_reinforcement_is_antisymmetric(w, before, after):
 def test_motivation_scales_linearly_with_weights(w, y, c):
     base = motivation(PriorityProfile(weights=w), y)
     scaled = motivation(PriorityProfile(weights=tuple(c * x for x in w)), y)
-    assert scaled.total() == pytest.approx(c * base.total())
+    assert sum(scaled.values) == pytest.approx(c * sum(base.values))
 
 
 # ----------------------------------------------------------------------

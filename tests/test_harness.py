@@ -34,7 +34,7 @@ from needagent.harness import (
 )
 from needagent.core import PriorityProfile
 from needagent import harness
-from needagent.memory import SnapshotError, dumps_snapshot
+from needagent.memory import SnapshotError, dumps_snapshot, loads_snapshot
 from needagent.model import STRATEGIES, STRATEGY_SEGMENT, SUCCESSOR_KEYINGS
 
 
@@ -103,6 +103,35 @@ def test_config_errors_name_the_offending_field(data, field):
     with pytest.raises(ConfigError) as err:
         config_from_dict(data)
     assert field in str(err.value)
+
+
+# (config field, snapshot field path, its name in messages) of each kind.
+_NUMBER_FIELDS = ("profile.energy_weight", ("log", 1, "energy"), "log[1].energy")
+_INTEGER_FIELDS = ("seed", ("version",), "version")
+
+
+@pytest.mark.parametrize(
+    "fields, value",
+    [(_NUMBER_FIELDS, value) for value in (True, "1", [1], 10**400)]
+    + [(_INTEGER_FIELDS, value) for value in (1.5, True)],
+    ids=["number-bool", "number-string", "number-list", "number-401-digits", "integer-float", "integer-bool"],
+)
+def test_config_and_snapshot_numbers_share_one_parser(small_run, fields, value):
+    config_field, snapshot_path, snapshot_field = fields
+    section, _, key = config_field.rpartition(".")
+    config = {section: {key: value}} if section else {key: value}
+    with pytest.raises(ConfigError) as config_error:
+        config_from_dict(config)
+    payload = json.loads(dumps_snapshot(snapshot_from_run(small_run)))
+    target = payload
+    for step in snapshot_path[:-1]:
+        target = target[step]
+    target[snapshot_path[-1]] = value
+    with pytest.raises(SnapshotError) as snapshot_error:
+        loads_snapshot(json.dumps(payload))
+    message = str(config_error.value).removeprefix(f"{config_field}: ")
+    assert message.startswith("expected ")
+    assert str(snapshot_error.value) == f"{snapshot_field}: {message}"
 
 
 def test_fingerprint_is_stable_and_sensitive():

@@ -246,6 +246,21 @@ def test_snapshot_round_trip_property(steps):
     assert dumps_snapshot(loads_snapshot(text)) == text
 
 
+def test_a_loaded_state_is_shared_only_when_equal_with_its_types():
+    log = EpisodeLog()
+    for tick in range(3):
+        log.append(make_record(tick, pos=tick, next_pos=tick + 1))
+    snap = MemorySnapshot(schema=SCHEMA, log=log, model_tables={}, config={}, config_fingerprint="")
+    payload = json.loads(dumps_snapshot(snap))
+    first, second, _ = loads_snapshot(json.dumps(payload)).log.records
+    assert second.state is first.next_state
+    payload["log"][1]["state"]["y"][0] = 0  # equal to the 0.0 before it, but an integer
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    first, second, _ = loads_snapshot(text).log.records
+    assert second.state is not first.next_state
+    assert dumps_snapshot(loads_snapshot(text)) == text
+
+
 def test_loads_snapshot_requires_every_top_level_key():
     payload = json.loads(dumps_snapshot(make_snapshot()))
     for key in ("version", "schema", "log", "model", "config", "config_fingerprint"):
@@ -405,18 +420,18 @@ def test_snapshot_codec_runs_with_the_collector_paused(monkeypatch):
     def spy(name):
         original = getattr(memory, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             seen.append((name, gc.isenabled()))
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(memory, name, wrapper)
 
     spy("record_to_dict")
-    spy("record_from_dict")
+    spy("TransitionRecord")
     with collector(True):
         loads_snapshot(dumps_snapshot(make_snapshot()))
         assert gc.isenabled()
-    assert seen == [("record_to_dict", False)] * 3 + [("record_from_dict", False)] * 3
+    assert seen == [("record_to_dict", False)] * 3 + [("TransitionRecord", False)] * 3
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from needagent.core import PriorityProfile, UsageError, state_key
-from needagent.memory import EpisodeLog, HistoryWindow, Segment, SnapshotError, TransitionRecord
+from needagent.memory import EpisodeLog, HistoryWindow, Segment, TransitionRecord
 from needagent.model import (
     STRATEGY_SEGMENT,
     STRATEGY_TRANSITION_MAP,
@@ -24,7 +24,7 @@ from needagent.model import (
     tables_equal,
 )
 
-from conftest import SCHEMA, make_state
+from conftest import make_state
 
 
 def make_params(step: float = 1.0, **kwargs) -> LearningParams:
@@ -384,20 +384,6 @@ def test_rebuild_matches_an_incrementally_driven_model(strategy):
         driver.ingest(rec)
     rebuilt = rebuild_from_log(log, params, strategy, window_size=2)
     assert tables_equal(live.to_tables(), rebuilt.to_tables()) == []
-
-
-def test_tables_round_trip_through_serial_form():
-    model = rebuild_from_log(_synthetic_log(), make_params(), STRATEGY_TRANSITION_MAP, 1)
-    tables = model.to_tables()
-    back = TransitionModel.from_tables(tables, SCHEMA)
-    assert tables_equal(tables, back.to_tables()) == []
-
-
-def test_from_tables_requires_every_section():
-    tables = TransitionModel().to_tables()
-    del tables["evidence"]
-    with pytest.raises(SnapshotError):
-        TransitionModel.from_tables(tables, SCHEMA)
 
 
 def test_tables_equal_reports_named_differences():

@@ -350,16 +350,6 @@ def test_long_random_run_stays_in_bounds():
     assert events > 100  # the ball keeps reaching the bottom row
 
 
-def test_render_draws_ball_and_racket():
-    env = PingPong()
-    env.reset(seed=0)
-    place(env, col=1, row=0, dcol=1, drow=1, racket=2)
-    lines = env.render().splitlines()
-    assert lines[0] == ".o...."
-    assert lines[4] == "..=..."
-    assert len(lines) == 5
-
-
 # ----------------------------------------------------------------------
 # random baseline
 # ----------------------------------------------------------------------
