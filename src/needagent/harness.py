@@ -15,11 +15,12 @@ import statistics
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from itertools import starmap
 from operator import attrgetter
 from random import Random
 from typing import Iterable, Sequence
 
-from needagent.core import PriorityProfile, SchemaError, StateSchema
+from needagent.core import ActionCost, PriorityProfile, SchemaError, StateSchema, energy_spent
 from needagent.decision import DecisionPolicy, MODES, decide
 from needagent.fields import FieldError, choice, items, number, optional, read, table, valid
 from needagent.memory import (
@@ -43,7 +44,7 @@ from needagent.model import (
     rebuild_from_log,
     tables_equal,
 )
-from needagent.pingpong import BoardConfig, PingPong, build_schema
+from needagent.pingpong import BoardConfig, PingPong, build_action_cost, build_schema
 
 ROLLING_WINDOW_EVENTS = 100
 
@@ -130,9 +131,11 @@ _FIELDS = (
 )
 _CONFIG = table(_FIELDS)
 
-# A ``--profiles`` entry: a label and the config's profile rows.
+# A ``--profiles`` entry: a label, which is a sweep CSV cell, and the config's profile rows.
+_LABEL = valid(lambda v: isinstance(v, str) and v and not {",", "\r", "\n"} & set(v),
+               "expected a non-empty string without a comma or line break")
 _PROFILES = items(table(
-    [("label", "label", valid(lambda v: isinstance(v, str) and v, "expected a non-empty string"))]
+    [("label", "label", _LABEL)]
     + [(path.partition(".")[2], attr.partition(".")[2], parse)
        for path, attr, parse in _FIELDS if path.startswith("profile.")],
     lambda label, **changes: (label, replace(RunConfig().profile, **changes)),
@@ -366,12 +369,31 @@ def snapshot_from_run(result: RunResult) -> MemorySnapshot:
     )
 
 
-def verify_snapshot(snapshot: MemorySnapshot, utility_tolerance: float = 1e-12) -> list[str]:
-    """Replay the snapshot's log and diff the rebuilt model against the stored
-    tables.  Returns human-readable problems; empty means verified.  An
-    invalid embedded config is a :class:`SnapshotError` naming ``config.<field>``.
-    A schema other than the embedded board's is reported without a replay,
-    which could not learn from states of another shape."""
+def _log_problems(log: Iterable[TransitionRecord], cost: ActionCost) -> list[str]:
+    """The first break, named ``log[i].<field>``, of an invariant every run's log keeps."""
+    last = None  # the previous record's next_state
+    for i, rec in enumerate(log):
+        if rec.state.tick != rec.tick:
+            return [f"log[{i}].state.tick: {rec.state.tick} is not the record's tick {rec.tick}"]
+        if rec.next_state.tick != rec.tick + 1:
+            return [f"log[{i}].next_state.tick: {rec.next_state.tick} is not the record's tick + 1"]
+        if rec.next_state.actions != rec.chosen_action:
+            return [f"log[{i}].chosen_action: differs from next_state.actions"]
+        if rec.energy != energy_spent(rec.chosen_action, cost):
+            return [f"log[{i}].energy: {rec.energy!r} is not the cost of chosen_action"]
+        # Where ticks are contiguous; ``is`` first, as a loaded log shares the state.
+        if last is not None and last.tick == rec.tick and rec.state is not last and rec.state != last:
+            return [f"log[{i}].state: differs from log[{i - 1}].next_state"]
+        last = rec.next_state
+    return []
+
+
+def verify_snapshot(snapshot: MemorySnapshot) -> list[str]:
+    """Check the log's own invariants, replay it and diff the rebuilt model
+    against the stored tables.  Returns human-readable problems; empty means
+    verified.  An invalid embedded config is a :class:`SnapshotError` naming
+    ``config.<field>``.  A schema other than the embedded board's is reported
+    without a replay, which could not learn from states of another shape."""
     problems: list[str] = []
     try:
         config = config_from_dict(snapshot.config)
@@ -381,17 +403,10 @@ def verify_snapshot(snapshot: MemorySnapshot, utility_tolerance: float = 1e-12) 
         problems.append("config_fingerprint does not match the embedded config")
     if snapshot.schema != build_schema(config.board):
         return problems + ["schema does not match the board of the embedded config"]
-    rebuilt = rebuild_from_log(
-        snapshot.log,
-        config.learning_params(),
-        strategy=config.strategy,
-        window_size=config.window_size,
-        successor_keying=config.successor_keying,
-    )
-    problems.extend(
-        tables_equal(snapshot.model_tables, rebuilt.to_tables(), utility_tolerance)
-    )
-    return problems
+    problems += _log_problems(snapshot.log, build_action_cost(snapshot.schema))
+    rebuilt = rebuild_from_log(snapshot.log, config.learning_params(), strategy=config.strategy,
+                               window_size=config.window_size, successor_keying=config.successor_keying)
+    return problems + tables_equal(snapshot.model_tables, rebuilt.to_tables(), 1e-12)
 
 
 # ======================================================================
@@ -399,38 +414,31 @@ def verify_snapshot(snapshot: MemorySnapshot, utility_tolerance: float = 1e-12) 
 # ======================================================================
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
-_FLOAT_COLUMNS = {"happy", "sad", "novelty", "expectedness", "feedback", "rolling_hit_rate", "energy"}
+_FINITE = number(float)
+# Format and parser of a cell by its field's declared type (text, as annotations
+# are postponed).  A cell is read only if its value formats back to that text.
+_FORMATS = {"float": "{:.6f}", "bool": "{:d}"}  # any other type is "{}"
+_PARSERS = {"int": int, "float": lambda cell: _FINITE(float(cell)), "bool": lambda cell: int(cell) == 1}
+
+
+def _to_csv(rows: Sequence, row_type: type, header: str | None = None) -> str:
+    """A header, then one line of ``row_type``'s fields per row; LF line endings."""
+    names = [f.name for f in fields(row_type)]
+    template = ",".join(_FORMATS.get(f.type, "{}") for f in fields(row_type))
+    lines = starmap(template.format, map(attrgetter(*names), rows))
+    return "\n".join([header or ",".join(names), *lines]) + "\n"
 
 
 def metrics_to_csv(rows: Sequence[MetricsRow]) -> str:
     """Fixed six-decimal floats, integer counters, LF line endings."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for column in CSV_COLUMNS:
-            value = getattr(row, column)
-            if column in _FLOAT_COLUMNS:
-                cells.append(f"{value:.6f}")
-            elif column == "explored":
-                cells.append("1" if value else "0")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _to_csv(rows, MetricsRow)
 
 
-_FINITE = number(float)
-_BIT = number(int, 0, 1)
-
-
-def _csv_cell(column: str, cell: str):
-    """One metrics cell as its column's type; ValueError if it is not one."""
-    if column in _FLOAT_COLUMNS:
-        return _FINITE(float(cell))
-    return _BIT(int(cell)) == 1 if column == "explored" else int(cell)
+_METRICS_CELLS = [(f.name, _FORMATS.get(f.type, "{}"), _PARSERS[f.type]) for f in fields(MetricsRow)]
 
 
 def metrics_from_csv(text: str) -> list[MetricsRow]:
+    """Rows whose every cell is the text :func:`metrics_to_csv` writes for its value."""
     lines = [(line_no, line) for line_no, line in enumerate(text.split("\n"), 1) if line]
     if not lines or lines[0][1] != ",".join(CSV_COLUMNS):
         raise ConfigError("metrics csv: unexpected header")
@@ -439,13 +447,15 @@ def metrics_from_csv(text: str) -> list[MetricsRow]:
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ConfigError(f"metrics csv line {line_no}: {len(cells)} of {len(CSV_COLUMNS)} cells")
-        values = {}
-        for column, cell in zip(CSV_COLUMNS, cells):
+        values = []
+        for (column, form, parse), cell in zip(_METRICS_CELLS, cells):
             try:
-                values[column] = _csv_cell(column, cell)
+                if form.format(value := parse(cell)) != cell:
+                    raise ValueError
             except ValueError:
                 raise ConfigError(f"metrics csv line {line_no}, {column}: bad value {cell!r}") from None
-        rows.append(MetricsRow(**values))
+            values.append(value)
+        rows.append(MetricsRow(*values))
     return rows
 
 
@@ -529,14 +539,5 @@ def sweep(
 
 
 def sweep_to_csv(runs: Sequence[SweepRun], summaries: Sequence[SweepSummary]) -> tuple[str, str]:
-    run_lines = ["profile,seed,final_rolling_hit_rate,hits,misses"]
-    for r in runs:
-        run_lines.append(
-            f"{r.profile_label},{r.seed},{r.final_rolling_hit_rate:.6f},{r.hits},{r.misses}"
-        )
-    summary_lines = ["profile,runs,mean_final_hit_rate,stdev_final_hit_rate"]
-    for s in summaries:
-        summary_lines.append(
-            f"{s.profile_label},{s.runs},{s.mean_final_hit_rate:.6f},{s.stdev_final_hit_rate:.6f}"
-        )
-    return "\n".join(run_lines) + "\n", "\n".join(summary_lines) + "\n"
+    return (_to_csv(runs, SweepRun, "profile,seed,final_rolling_hit_rate,hits,misses"),
+            _to_csv(summaries, SweepSummary, "profile,runs,mean_final_hit_rate,stdev_final_hit_rate"))

@@ -170,8 +170,7 @@ def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[P
     # Under state keying the successor index key is the table key as well.
     by_action = model.successor_keying == SUCCESSOR_KEYING_ACTION
     prospects = []
-    for skey in sorted(states):
-        state = states[skey]
+    for skey, state in states.items():
         ukey = action_key(state) if by_action else skey
         prospects.append(
             Prospect(

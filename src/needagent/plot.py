@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from needagent.memory import atomic_writer
+
 MARGIN_LEFT = 60.0
 MARGIN_RIGHT = 20.0
 MARGIN_TOP = 20.0
@@ -95,5 +97,5 @@ def render_svg(rows: Sequence) -> str:
 
 
 def write_svg(rows: Sequence, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_writer(path) as fh:
         fh.write(render_svg(rows))

@@ -301,6 +301,26 @@ def test_replay_reports_a_schema_other_than_the_boards(snapshot_path, capsys, ch
     assert "mismatch: schema does not match the board" in capsys.readouterr().err
 
 
+def _flip_the_chosen_action(payload):
+    payload["log"][10]["chosen_action"] = [1 - code for code in payload["log"][10]["chosen_action"]]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_flip_the_chosen_action, "log[10].chosen_action: differs from next_state.actions"),
+        (lambda p: p["log"][10]["state"].__setitem__("tick", 9999), "log[10].state.tick: 9999 is not"),
+        (lambda p: p["log"][10].__setitem__("energy", 42.0), "log[10].energy: 42.0 is not the cost"),
+    ],
+    ids=["chosen-action-flipped", "state-tick-9999", "energy-42"],
+)
+def test_replay_reports_a_broken_log_invariant_as_a_mismatch(snapshot_path, capsys, change, message):
+    _tamper(snapshot_path, change)
+    capsys.readouterr()
+    assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_VERIFY
+    assert capsys.readouterr().err.startswith(f"mismatch: {message}")
+
+
 def test_replay_reports_a_missing_model_section_as_a_mismatch(snapshot_path, capsys):
     _tamper(snapshot_path, lambda p: p["model"].pop("evidence"))
     capsys.readouterr()
@@ -423,6 +443,8 @@ def test_sweep_rejects_bad_profile_files(tmp_path, payload, capsys):
         ({"weights": [1, 1, 1, 1], "energy_weight": "-inf"}, "profiles[1].energy_weight"),
         ({"weights": [1, 1, 1, 1], "bogus": 3}, "profiles[1].bogus"),
         ({}, "profiles[1].weights"),
+        ({"label": "a,b", "weights": [1, 1, 1, 1]}, "profiles[1].label"),
+        ({"label": "x\ny", "weights": [1, 1, 1, 1]}, "profiles[1].label"),
     ],
 )
 def test_sweep_profile_errors_name_the_entry(tmp_path, entry, field, capsys):

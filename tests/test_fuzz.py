@@ -19,6 +19,7 @@ from needagent.harness import (
     ConfigError,
     config_from_dict,
     metrics_from_csv,
+    metrics_to_csv,
     run,
     snapshot_from_run,
     verify_snapshot,
@@ -99,7 +100,9 @@ _CONFIG = {
     "gc": {"horizon": None},
 }
 
-_SNAPSHOT = json.loads(dumps_snapshot(snapshot_from_run(run(config_from_dict(_CONFIG)))))
+_RUN = run(config_from_dict(_CONFIG))
+_SNAPSHOT = json.loads(dumps_snapshot(snapshot_from_run(_RUN)))
+_METRICS_LINES = metrics_to_csv(_RUN.metrics).split("\n")
 
 
 _FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -140,3 +143,16 @@ def test_metrics_from_csv_raises_only_config_errors(text):
         metrics_from_csv(text)
     except ConfigError:
         pass
+
+
+@_FUZZ
+@given(line=st.integers(1, len(_METRICS_LINES) - 2), column=st.integers(0, len(CSV_COLUMNS) - 1), cell=_CELL)
+def test_metrics_from_csv_reads_only_what_the_writer_writes(line, column, cell):
+    cells = _METRICS_LINES[line].split(",")
+    cells[column] = cell
+    text = "\n".join([*_METRICS_LINES[:line], ",".join(cells), *_METRICS_LINES[line + 1:]])
+    try:
+        rows = metrics_from_csv(text)
+    except ConfigError:
+        return
+    assert metrics_to_csv(rows) == text

@@ -417,6 +417,28 @@ def test_write_metrics_keeps_the_old_file_when_serialization_fails(tmp_path, sma
     assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
+@pytest.mark.parametrize(
+    "column, cell",
+    [
+        ("tick", "1_0"),
+        ("cumulative_hits", " 2"),
+        ("energy", "1e0"),
+        ("cumulative_misses", "+1"),
+        ("tick", "01"),
+        ("happy", "0.1234567"),
+        ("explored", "2"),
+    ],
+)
+def test_metrics_csv_rejects_cells_the_writer_never_writes(small_run, column, cell):
+    lines = metrics_to_csv(small_run.metrics[:3]).split("\n")
+    cells = lines[2].split(",")
+    cells[CSV_COLUMNS.index(column)] = cell
+    lines[2] = ",".join(cells)
+    with pytest.raises(ConfigError) as err:
+        metrics_from_csv("\n".join(lines))
+    assert str(err.value) == f"metrics csv line 3, {column}: bad value {cell!r}"
+
+
 def test_explored_column_is_binary(small_run):
     text = metrics_to_csv(small_run.metrics)
     column = CSV_COLUMNS.index("explored")

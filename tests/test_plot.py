@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from needagent import plot
 from needagent.harness import MetricsRow
 from needagent.plot import (
     MARGIN_LEFT,
@@ -136,6 +139,20 @@ def test_write_svg_round_trips_exact_bytes(tmp_path):
     assert data.decode("utf-8") == render_svg(rows)
     assert data.endswith(b"</svg>\n")
     assert b"\r" not in data
+
+
+def test_write_svg_keeps_the_old_file_when_rendering_fails(tmp_path, monkeypatch):
+    path = tmp_path / "old.svg"
+    path.write_bytes(b"old bytes\n")
+
+    def failing_render_svg(rows):
+        raise RuntimeError("rendering failed")
+
+    monkeypatch.setattr(plot, "render_svg", failing_render_svg)
+    with pytest.raises(RuntimeError):
+        write_svg([make_row(1)], str(path))
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["old.svg"]
 
 
 @pytest.mark.parametrize("attr, stroke", [(p[0], p[4]) for p in PANELS])
