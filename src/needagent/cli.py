@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from needagent.harness import (
     ConfigError,
@@ -50,12 +51,8 @@ def _read_json(path: str):
 
 
 def _load_config(path: str, seed: int | None) -> RunConfig:
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError("config: expected a JSON object")
-    if seed is not None:
-        data["seed"] = seed  # flags beat the file
-    return config_from_dict(data)
+    config = config_from_dict(_read_json(path))
+    return config if seed is None else replace(config, seed=seed)  # flags beat the file
 
 
 def _resolve_out_dir(flag_value: str | None, config: RunConfig | None) -> str:

@@ -215,38 +215,38 @@ class ConstraintMatrices:
         ex = frozenset((min(i, j), max(i, j)) for i, j in exclusion)
         return cls(size=size, exclusion=ex, dependency=frozenset(dependency))
 
+    def within(self, indices: range) -> "ConstraintMatrices":
+        """Only the pairs whose two indices both lie in ``indices``."""
+        def keep(pairs):
+            return frozenset(p for p in pairs if p[0] in indices and p[1] in indices)
+        return ConstraintMatrices(self.size, keep(self.exclusion), keep(self.dependency))
 
-def _is_active(state: StateVector, index: int) -> bool:
-    # A variable counts as active when boolean true or numerically positive;
-    # ``index`` is canonical, as in ``state.values()``.
-    nf = len(state.feelings)
-    if index < nf:
-        return state.feelings[index] > 0
-    index -= nf
-    na = len(state.actions)
-    if index < na:
-        return state.actions[index] > 0
-    return state.needs[index - na] > 0
+
+def pairs_hold(values: Sequence, constraints: ConstraintMatrices) -> bool:
+    """True iff no exclusion pair is active together and no dependency pair
+    has an active ``i`` without an active ``j``.
+
+    ``values`` are variable values by canonical index; a variable counts as
+    active when boolean true or numerically positive.  Only the variables a
+    pair names are read.
+    """
+    for i, j in constraints.exclusion:
+        if values[i] > 0 and values[j] > 0:
+            return False
+    for i, j in constraints.dependency:
+        if values[i] > 0 and not values[j] > 0:
+            return False
+    return True
 
 
 def check_constraints(state: StateVector, constraints: ConstraintMatrices) -> bool:
-    """True iff the state violates no exclusion and no dependency.
-
-    Empty relations are vacuously satisfied.  Only the variables a pair
-    names are read.
-    """
+    """True iff the state violates no exclusion and no dependency."""
     width = state.schema.width
     if constraints.size != width:
         raise SchemaError(
             f"constraints sized for {constraints.size} variables, state has {width}"
         )
-    for i, j in constraints.exclusion:
-        if _is_active(state, i) and _is_active(state, j):
-            return False
-    for i, j in constraints.dependency:
-        if _is_active(state, i) and not _is_active(state, j):
-            return False
-    return True
+    return pairs_hold(state.feelings + state.actions + state.needs, constraints)
 
 
 # ======================================================================

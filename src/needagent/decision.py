@@ -18,6 +18,7 @@ from needagent.core import (
     StateSchema,
     StateVector,
     check_constraints,
+    pairs_hold,
 )
 from needagent.memory import HistoryWindow
 from needagent.model import Prospect, TransitionModel, predict_successors
@@ -90,23 +91,13 @@ def action_candidates(
     """
     offset = len(schema.feelings)
     n = len(schema.actions)
-    action_range = range(offset, offset + n)
-    candidates = []
-    for bits in itertools.product((False, True), repeat=n):
-        ok = True
-        for i, j in constraints.exclusion:
-            if i in action_range and j in action_range:
-                if bits[i - offset] and bits[j - offset]:
-                    ok = False
-                    break
-        if ok:
-            for i, j in constraints.dependency:
-                if i in action_range and j in action_range:
-                    if bits[i - offset] and not bits[j - offset]:
-                        ok = False
-                        break
-        if ok:
-            candidates.append(bits)
+    inside = constraints.within(range(offset, offset + n))
+    feelings = (0,) * offset  # canonical indices put the feelings first
+    candidates = [
+        bits
+        for bits in itertools.product((False, True), repeat=n)
+        if pairs_hold(feelings + bits, inside)
+    ]
     if not candidates:
         raise DecisionError("no action vector satisfies the constraints")
     return candidates

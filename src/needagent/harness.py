@@ -132,10 +132,11 @@ _FIELDS = (
 _CONFIG = table(_FIELDS)
 
 # A ``--profiles`` entry: a label, which is a sweep CSV cell, and the config's profile rows.
+# :func:`sweep` checks the label, for callers that build the entries themselves.
 _LABEL = valid(lambda v: isinstance(v, str) and v and not {",", "\r", "\n"} & set(v),
                "expected a non-empty string without a comma or line break")
 _PROFILES = items(table(
-    [("label", "label", _LABEL)]
+    [("label", "label", lambda v: v)]
     + [(path.partition(".")[2], attr.partition(".")[2], parse)
        for path, attr, parse in _FIELDS if path.startswith("profile.")],
     lambda label, **changes: (label, replace(RunConfig().profile, **changes)),
@@ -406,7 +407,7 @@ def verify_snapshot(snapshot: MemorySnapshot) -> list[str]:
     problems += _log_problems(snapshot.log, build_action_cost(snapshot.schema))
     rebuilt = rebuild_from_log(snapshot.log, config.learning_params(), strategy=config.strategy,
                                window_size=config.window_size, successor_keying=config.successor_keying)
-    return problems + tables_equal(snapshot.model_tables, rebuilt.to_tables(), 1e-12)
+    return problems + tables_equal(snapshot.model_tables, rebuilt.to_tables())
 
 
 # ======================================================================
@@ -439,11 +440,13 @@ _METRICS_CELLS = [(f.name, _FORMATS.get(f.type, "{}"), _PARSERS[f.type]) for f i
 
 def metrics_from_csv(text: str) -> list[MetricsRow]:
     """Rows whose every cell is the text :func:`metrics_to_csv` writes for its value."""
-    lines = [(line_no, line) for line_no, line in enumerate(text.split("\n"), 1) if line]
-    if not lines or lines[0][1] != ",".join(CSV_COLUMNS):
+    lines = text.split("\n")
+    if lines[0] != ",".join(CSV_COLUMNS):
         raise ConfigError("metrics csv: unexpected header")
+    if lines[-1]:
+        raise ConfigError(f"metrics csv line {len(lines)}: missing the final line ending")
     rows = []
-    for line_no, line in lines[1:]:
+    for line_no, line in enumerate(lines[1:-1], 2):
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ConfigError(f"metrics csv line {line_no}: {len(cells)} of {len(CSV_COLUMNS)} cells")
@@ -506,7 +509,8 @@ def sweep(
         raise ConfigError("profiles: expected at least one profile")
     if not seeds:
         raise ConfigError("seeds: expected at least one seed")
-    labels = [label for label, _ in profiles]
+    labels = [read(_LABEL, label, ConfigError, f"profiles[{i}].label")
+              for i, (label, _) in enumerate(profiles)]
     if len(set(labels)) != len(labels):
         raise ConfigError("profiles: labels must be unique")
     runs: list[SweepRun] = []

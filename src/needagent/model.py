@@ -162,23 +162,13 @@ def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[P
     states = model.successor_states.get(hk)
     if not states:
         return []
-    row_c = model.evidence.get(hk)
-    if not row_c:
-        raise UsageError(f"history {hk!r} has no evidence")
-    total = sum(row_c.values())
+    probability = model.probabilities(hk)
     row_u = model.utility[hk]
-    # Under state keying the successor index key is the table key as well.
-    by_action = model.successor_keying == SUCCESSOR_KEYING_ACTION
     prospects = []
     for skey, state in states.items():
-        ukey = action_key(state) if by_action else skey
+        k = model.successor_key(state)
         prospects.append(
-            Prospect(
-                state=state,
-                utility=row_u.get(ukey, 0.0),
-                probability=row_c.get(ukey, 0) / total,
-                sort_key=skey,
-            )
+            Prospect(state=state, utility=row_u[k], probability=probability[k], sort_key=skey)
         )
     prospects.sort(key=lambda p: (-(p.utility * p.probability), p.sort_key))
     return prospects
@@ -320,11 +310,11 @@ def rebuild_from_log(
     return model
 
 
-def tables_equal(a: dict, b: dict, utility_tolerance: float = 0.0) -> list[str]:
+def tables_equal(a: dict, b: dict) -> list[str]:
     """Differences between two model table dumps; empty means equal.
 
-    Keys and integer counts must match exactly; utilities may differ by at
-    most ``utility_tolerance``, and a NaN on either side always differs.
+    Every section must match exactly, as a replay is bit-exact.  Utilities
+    are compared one by one, so a NaN on either side always differs.
     """
     problems: list[str] = []
     for section in ("window_size", "successor_keying", "evidence", "successors", "state_seen"):
@@ -339,7 +329,7 @@ def tables_equal(a: dict, b: dict, utility_tolerance: float = 0.0) -> list[str]:
                 problems.append(f"model.utility[{hk!r}]: successor keys differ")
                 continue
             for sk in ua[hk]:
-                if not abs(ua[hk][sk] - ub[hk][sk]) <= utility_tolerance:
+                if ua[hk][sk] != ub[hk][sk]:
                     problems.append(
                         f"model.utility[{hk!r}][{sk!r}]: {ua[hk][sk]} vs {ub[hk][sk]}"
                     )

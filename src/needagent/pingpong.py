@@ -142,7 +142,6 @@ class PingPong:
         self.racket_col = (self.config.width - self.config.racket_width) // 2
         self._ticks_since_hit = 0
         self._sad_raw = 0.0
-        self._board_visits: dict[tuple[int, ...], int] = {}
         self._pending: list[tuple[int, float]] = []  # (due tick, feedback value)
         return self._sense(action=(False,) * len(ACTION_NAMES), feedback=0.0, predicted=None)
 
@@ -164,8 +163,8 @@ class PingPong:
         ``predicted`` is the agent's expectation for the resulting state and
         only feeds the expectedness need channel.  ``novelty`` scores how
         fresh a candidate state is (1 = never seen); the harness passes the
-        world model's familiarity measure here.  Without it the environment
-        falls back to its own visit counter.
+        world model's familiarity measure here.  Without it the channel reads
+        1, as that measure does before the model has seen anything.
         """
         if self._rng is None:
             raise SchemaError("environment must be reset before stepping")
@@ -253,6 +252,7 @@ class PingPong:
             _DIR_CODE[self.ball_drow],
             self.racket_col,
         )
+        novelty_raw = 1.0
         if novelty is not None:
             # Score the incoming situation by its discrete identity; the need
             # channels are filled in afterwards and do not affect freshness.
@@ -264,10 +264,6 @@ class PingPong:
                 tick=self._tick,
             )
             novelty_raw = min(1.0, max(0.0, novelty(preview)))
-        else:
-            visits = self._board_visits.get(feelings, 0)
-            self._board_visits[feelings] = visits + 1
-            novelty_raw = 1.0 / (1.0 + visits)
         happy_raw = min(1.0, HAPPY_GROWTH_PER_TICK * self._ticks_since_hit)
         expectedness_raw = 1.0 - _observable_similarity(predicted, feelings, action)
         levels = self.config.need_levels

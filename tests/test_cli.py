@@ -67,7 +67,7 @@ def test_run_rejects_a_config_with_unknown_fields(tmp_path, capsys):
 def test_run_rejects_a_non_object_config(tmp_path, capsys):
     config = write_json(tmp_path / "bad.json", [1, 2])
     assert main(["run", "--config", config]) == EXIT_CONFIG
-    assert "expected a JSON object" in capsys.readouterr().err
+    assert "top level: expected an object" in capsys.readouterr().err
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):
@@ -305,14 +305,21 @@ def _flip_the_chosen_action(payload):
     payload["log"][10]["chosen_action"] = [1 - code for code in payload["log"][10]["chosen_action"]]
 
 
+def _nudge_a_utility(payload):
+    # Replay is bit-exact, so no edit is small enough to pass.
+    row = next(iter(payload["model"]["utility"].values()))
+    row[next(iter(row))] += 5e-13
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
         (_flip_the_chosen_action, "log[10].chosen_action: differs from next_state.actions"),
         (lambda p: p["log"][10]["state"].__setitem__("tick", 9999), "log[10].state.tick: 9999 is not"),
         (lambda p: p["log"][10].__setitem__("energy", 42.0), "log[10].energy: 42.0 is not the cost"),
+        (_nudge_a_utility, "model.utility["),
     ],
-    ids=["chosen-action-flipped", "state-tick-9999", "energy-42"],
+    ids=["chosen-action-flipped", "state-tick-9999", "energy-42", "utility-plus-5e-13"],
 )
 def test_replay_reports_a_broken_log_invariant_as_a_mismatch(snapshot_path, capsys, change, message):
     _tamper(snapshot_path, change)

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from needagent.core import ConstraintMatrices, state_key
+from needagent.core import (
+    ConstraintMatrices,
+    FeelingVar,
+    StateSchema,
+    StateVector,
+    check_constraints,
+    state_key,
+)
 from needagent.decision import (
     MODE_LEXICOGRAPHIC,
     MODE_PROSPECTED,
@@ -73,6 +83,35 @@ def test_action_candidates_respect_dependency():
 def test_action_candidates_ignore_pairs_outside_the_action_partition():
     m = ConstraintMatrices.build(6, exclusion=[(0, 5)])  # pos vs rest
     assert len(action_candidates(SCHEMA, m)) == 4
+
+
+_WIDE = StateSchema(
+    feelings=(FeelingVar("pos", 3),), actions=("a", "b", "c", "d"), needs=("hunger", "rest")
+)
+_WIDE_ACTIONS = set(range(1, 5))
+_pairs = st.tuples(st.integers(0, _WIDE.width - 1), st.integers(0, _WIDE.width - 1)).filter(
+    lambda p: p[0] != p[1]
+)
+
+
+@settings(max_examples=200)
+@given(exclusion=st.lists(_pairs, max_size=6), dependency=st.lists(_pairs, max_size=6))
+def test_action_candidates_match_a_brute_force_constraint_filter(exclusion, dependency):
+    exclusion = {(min(p), max(p)) for p in exclusion}
+    dependency = {p for p in dependency if (min(p), max(p)) not in exclusion}
+    constraints = ConstraintMatrices.build(_WIDE.width, exclusion, dependency)
+    # Only pairs inside the action partition apply; the rest must be ignored.
+    inside = ConstraintMatrices.build(
+        _WIDE.width,
+        [p for p in exclusion if set(p) <= _WIDE_ACTIONS],
+        [p for p in dependency if set(p) <= _WIDE_ACTIONS],
+    )
+    expected = [
+        bits
+        for bits in itertools.product((False, True), repeat=4)
+        if check_constraints(StateVector(_WIDE, (0,), bits, (0.0, 0.0)), inside)
+    ]
+    assert action_candidates(_WIDE, constraints) == expected
 
 
 # ----------------------------------------------------------------------

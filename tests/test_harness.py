@@ -439,6 +439,21 @@ def test_metrics_csv_rejects_cells_the_writer_never_writes(small_run, column, ce
     assert str(err.value) == f"metrics csv line 3, {column}: bad value {cell!r}"
 
 
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        (lambda header, rows: f"{header}\n\n{rows}", "metrics csv line 2: 1 of 11 cells"),
+        (lambda header, rows: f"{header}\n{rows[:-1]}", "metrics csv line 4: missing the final line ending"),
+    ],
+    ids=["blank-line", "no-final-lf"],
+)
+def test_metrics_csv_rejects_framing_the_writer_never_writes(small_run, frame, message):
+    header, rows = metrics_to_csv(small_run.metrics[:3]).split("\n", 1)
+    with pytest.raises(ConfigError) as err:
+        metrics_from_csv(frame(header, rows))
+    assert str(err.value) == message
+
+
 def test_explored_column_is_binary(small_run):
     text = metrics_to_csv(small_run.metrics)
     column = CSV_COLUMNS.index("explored")
@@ -475,6 +490,13 @@ def test_sweep_summaries_aggregate_the_rates():
 def test_sweep_rejects_duplicate_labels():
     with pytest.raises(ConfigError):
         sweep(RunConfig(ticks=10), [PROFILES[0], PROFILES[0]], seeds=[0])
+
+
+@pytest.mark.parametrize("label", ["a,b", "x\ny", "", 7])
+def test_sweep_rejects_a_label_that_is_not_one_csv_cell(label):
+    with pytest.raises(ConfigError) as err:
+        sweep(RunConfig(ticks=5), [PROFILES[0], (label, PROFILES[0][1])], [0])
+    assert str(err.value) == "profiles[1].label: expected a non-empty string without a comma or line break"
 
 
 def test_sweep_rejects_empty_inputs():
