@@ -130,6 +130,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed)
+    if args.ticks < 0:
+        raise ConfigError(f"--ticks: must be >= 0, got {args.ticks}")
     rate = random_baseline(config.board, config.seed, args.ticks)
     if rate is None:
         print("baseline: no events occurred")

@@ -17,7 +17,6 @@ disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import ne
 from typing import Iterable, Sequence
 
@@ -80,12 +79,14 @@ class StateSchema:
             raise SchemaError(f"unknown variable {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """One observed state.  Immutable; equality is by value.
 
     ``tick`` is bookkeeping, not a state variable: two states observed at
     different ticks with identical partitions are the same situation.
+    ``key`` is its fragment of :func:`state_key`, built with it from the
+    codes as given: ``1``, ``1.0`` and ``True`` encode to different strings.
     """
 
     schema: StateSchema
@@ -93,6 +94,7 @@ class StateVector:
     actions: tuple[bool, ...]
     needs: tuple[float, ...]
     tick: int = 0
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sch = self.schema
@@ -118,19 +120,11 @@ class StateVector:
                 raise SchemaError(f"need {name!r}: level {level} outside [0, 1]")
         if self.tick < 0:
             raise SchemaError(f"tick must be >= 0, got {self.tick}")
+        object.__setattr__(self, "key", ",".join(map(str, self.feelings)))
 
     def values(self) -> tuple[float, ...]:
         """Concatenated variable values in canonical order."""
         return self.feelings + tuple(float(a) for a in self.actions) + self.needs
-
-    @cached_property
-    def key(self) -> str:
-        """This state's fragment of :func:`state_key`, built on first use.
-
-        Cached on the instance, not by feeling codes: ``1``, ``1.0`` and
-        ``True`` are equal as dict keys but encode to different strings.
-        """
-        return ",".join(map(str, self.feelings))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 
 from needagent.core import (
@@ -103,6 +104,10 @@ def action_candidates(
     return candidates
 
 
+# Once per pair of frozen values, as a tuple that no caller can change.
+_legal_actions = cache(lambda schema, constraints: tuple(action_candidates(schema, constraints)))
+
+
 def decide(
     model: TransitionModel,
     history: HistoryWindow,
@@ -124,7 +129,7 @@ def decide(
     prospects = predict_successors(model, history)
     valid = [p for p in prospects if check_constraints(p.state, constraints)]
     if explore_draw or not valid:
-        candidates = action_candidates(schema, constraints)
+        candidates = _legal_actions(schema, constraints)
         chosen = candidates[rng.randrange(len(candidates))]
         expected = next((p for p in valid if p.state.actions == chosen), None)
         return Decision(

@@ -30,6 +30,7 @@ from needagent.memory import (
     SnapshotError,
     TransitionRecord,
     atomic_writer,
+    collector_paused,
     garbage_collect,
 )
 from needagent.model import (
@@ -199,7 +200,7 @@ def derive_seed(seed: int, stream: str) -> int:
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRow:
     tick: int
     happy: float
@@ -389,6 +390,7 @@ def _log_problems(log: Iterable[TransitionRecord], cost: ActionCost) -> list[str
     return []
 
 
+@collector_paused()
 def verify_snapshot(snapshot: MemorySnapshot) -> list[str]:
     """Check the log's own invariants, replay it and diff the rebuilt model
     against the stored tables.  Returns human-readable problems; empty means

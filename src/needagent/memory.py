@@ -20,11 +20,12 @@ import os
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TextIO
 
 from needagent.core import FeelingVar, StateSchema, StateVector, UsageError
-from needagent.fields import entries, items, number, optional, read, table, valid
+from needagent.fields import FieldError, entries, items, number, optional, read, table, valid
 
 SNAPSHOT_VERSION = 1
 
@@ -42,7 +43,7 @@ class SnapshotVersionError(SnapshotError):
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionRecord:
     """One completed transition, written once the outcome is known.
 
@@ -229,8 +230,8 @@ def record_to_dict(rec: TransitionRecord) -> dict:
 def collector_paused() -> Iterator[None]:
     """Pause Python's cyclic garbage collector for the block.
 
-    Decoding or encoding a snapshot builds millions of containers (JSON
-    values, states, records), none of which can form a cycle, yet their
+    Decoding, encoding or replaying a snapshot builds millions of containers
+    (JSON values, states, records), none of which can form a cycle, yet their
     allocations trigger collections, several of which walk the whole heap.
     Reference counting still frees them.  On exit the collector is enabled
     again only if it was enabled on entry.
@@ -281,7 +282,22 @@ def _reject_constant(token: str):
 # as written, so a loaded snapshot re-encodes to the same bytes.
 _INTEGER, _NUMBER, _ACTION_CODES = number(int), number(float), items(number(int, 0, 1))
 _STRING = valid(lambda value: isinstance(value, str), "expected a string")
-_STATE = (("f", "f", items(_INTEGER)), ("a", "a", _ACTION_CODES), ("y", "y", items(_NUMBER)),
+
+
+def _signed(levels) -> bool:
+    """True if a level has a minus sign, as ``-0.0`` does; checked in C."""
+    return -1.0 in [*map(math.copysign, repeat(1.0), levels)]
+
+
+def _level(value):
+    # -0.0 equals 0.0, so a shared state could hide it; no run writes it.
+    if _NUMBER(value) == 0 and _signed((value,)):
+        raise FieldError("-0.0 is not a need level")
+    return value
+
+
+_level.every = lambda values: _NUMBER.every(values) and not _signed(values)
+_STATE = (("f", "f", items(_INTEGER)), ("a", "a", _ACTION_CODES), ("y", "y", items(_level)),
           ("tick", "tick", _INTEGER))
 _FEELING = table((("name", "name", _STRING), ("cardinality", "cardinality", _INTEGER)), FeelingVar, True)
 _SCHEMA = table(
@@ -311,17 +327,21 @@ _SNAPSHOT = table((
 
 
 def _log(schema: StateSchema):
-    """Parser for the log, whose states are built on ``schema``.  A state equal
-    to the one built just before it, types included, is that same object, as
-    in a live run, where a record's state is the previous one's next state."""
-    last = [(None,) * 4, None]  # the fields and the state built last
+    """Parser for the log, whose states are built on ``schema``.  A state whose value equals the one read
+    last at its tick, types included, is that same object, as in a live run: a record's state is the
+    previous one's next state, and a prediction is a stored successor."""
+    parse = table(_STATE, lambda f, a, y, tick: StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick),
+                  True)
+    seen = {}  # tick -> the value read last at that tick, and its state
+    types = lambda value: [*map(type, value["f"] + value["a"] + value["y"])]
 
-    def build(f: list, a: list, y: list, tick: int) -> StateVector:
-        if (f, a, y, tick) != last[0] or [*map(type, y)] != [*map(type, last[0][2])]:
-            last[:] = (f, a, y, tick), StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
-        return last[1]
+    def state(value) -> StateVector:
+        tick = value.get("tick") if type(value) is dict else None
+        earlier = seen.get(tick) if type(tick) is int else None
+        if earlier is None or value != earlier[0] or types(value) != types(earlier[0]) or _signed(value["y"]):
+            earlier = seen[tick] = value, parse(value)
+        return earlier[1]
 
-    state = table(_STATE, build, True)
     return items(table((
         ("tick", "tick", _INTEGER),
         ("state", "state", state),

@@ -262,6 +262,10 @@ def _set_successor_code(payload):
             _set_successor_code,
             "model.successors['0,0,0,1,2']['1,1,1,1,1'].f[0]: expected an integer, got True",
         ),
+        (
+            lambda p: _set_code(p["log"][1]["state"], "y", 1, 0.0, -0.0),
+            "log[1].state.y[1]: -0.0 is not a need level",
+        ),
     ],
     ids=[
         "nan-utility", "record-not-an-object", "energy-string", "reinforcement-string", "bad-config",
@@ -271,6 +275,7 @@ def _set_successor_code(payload):
         "model-unknown-key", "top-level-unknown-key", "schema-duplicate-names", "version-bool", "tick-bool",
         "action-code-five", "action-code-bool", "state-action-code-five", "predicted-feeling-float",
         "need-level-bool", "state-tick-bool", "state-tick-float", "successor-feeling-bool",
+        "need-level-negative-zero",
     ],
 )
 def test_replay_reports_a_malformed_snapshot_field(snapshot_path, capsys, change, message):
@@ -372,6 +377,15 @@ def test_baseline_seed_flag_is_reflected(config_path, capsys):
 
 def test_baseline_with_too_few_ticks_reports_no_events(config_path, capsys):
     assert main(["baseline", "--config", config_path, "--ticks", "2"]) == EXIT_OK
+    assert "no events" in capsys.readouterr().out
+
+
+def test_baseline_rejects_negative_ticks(config_path, capsys):
+    assert main(["baseline", "--config", config_path, "--ticks", "-5"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --ticks: must be >= 0, got -5\n"
+    assert captured.out == ""
+    assert main(["baseline", "--config", config_path, "--ticks", "0"]) == EXIT_OK
     assert "no events" in capsys.readouterr().out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -253,6 +254,18 @@ def test_equal_codes_of_different_types_keep_their_own_keys():
     assert len({s.feelings for s in states}) == 1
     assert [s.key for s in states] == ["1,0", "1.0,0", "True,0"]
     assert [state_key([s]) for s in states] == ["1,0", "1.0,0", "True,0"]
+
+
+def test_a_state_is_slotted_and_builds_its_key_with_it():
+    state = make_state(pos=1, phase=2, hunger=0.5)
+    assert not hasattr(state, "__dict__")
+    moved = dataclasses.replace(state, feelings=(3, 0))
+    assert (state.key, moved.key) == ("1,2", "3,0")
+    # The key takes no part in equality, hashing or the repr.
+    assert moved == make_state(pos=3, hunger=0.5) and hash(moved) == hash(make_state(pos=3, hunger=0.5))
+    assert "key" not in repr(state)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.key = "3,0"
 
 
 def test_state_key_requires_a_state():

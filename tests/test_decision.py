@@ -85,6 +85,19 @@ def test_action_candidates_ignore_pairs_outside_the_action_partition():
     assert len(action_candidates(SCHEMA, m)) == 4
 
 
+def test_a_caller_may_change_its_candidates_without_changing_exploration():
+    m = ConstraintMatrices.build(6, exclusion=[(2, 3)])  # go and grab exclude each other
+    window = HistoryWindow(1).push(make_state())
+
+    def explored():
+        return decide(TransitionModel(), window, m, DecisionPolicy(exploration_rate=1.0), Random(5)).chosen_action
+
+    before = explored()
+    action_candidates(SCHEMA, m).clear()
+    assert action_candidates(SCHEMA, m) == [(False, False), (False, True), (True, False)]
+    assert explored() == before
+
+
 _WIDE = StateSchema(
     feelings=(FeelingVar("pos", 3),), actions=("a", "b", "c", "d"), needs=("hunger", "rest")
 )

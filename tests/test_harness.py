@@ -330,6 +330,21 @@ def test_verify_snapshot_passes_on_a_clean_run(small_run):
     assert verify_snapshot(snapshot_from_run(small_run)) == []
 
 
+def test_a_loaded_log_shares_its_states_as_the_live_log_does():
+    # A prediction is a stored successor: the next state of the record one
+    # tick before the prediction's own.
+    result = run(RunConfig(ticks=1500))
+    loaded = loads_snapshot(dumps_snapshot(snapshot_from_run(result))).log
+    for log in (result.log, loaded):
+        records = log.records
+        predicted = [rec for rec in records if rec.predicted_next is not None]
+        assert predicted
+        assert all(rec.predicted_next is records[rec.predicted_next.tick - 1].next_state for rec in predicted)
+        assert all(b.state is a.next_state for a, b in zip(records, records[1:]))
+        states = {id(s) for rec in records for s in (rec.state, rec.next_state, rec.predicted_next) if s}
+        assert len(states) == 1501
+
+
 def test_verify_snapshot_detects_tampered_tables(small_run):
     snapshot = snapshot_from_run(small_run)
     hk = next(iter(snapshot.model_tables["utility"]))

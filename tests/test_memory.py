@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from needagent import memory
+from needagent import harness, memory
 from needagent.cli import EXIT_IO, main
 from needagent.core import UsageError
 from needagent.memory import (
@@ -54,6 +55,10 @@ def make_record(
         energy=energy,
         next_state=nxt,
     )
+
+
+def test_a_record_is_slotted():
+    assert not hasattr(make_record(0), "__dict__")
 
 
 # ----------------------------------------------------------------------
@@ -246,19 +251,49 @@ def test_snapshot_round_trip_property(steps):
     assert dumps_snapshot(loads_snapshot(text)) == text
 
 
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_a_loaded_state_is_shared_only_when_equal_with_its_types():
-    log = EpisodeLog()
-    for tick in range(3):
-        log.append(make_record(tick, pos=tick, next_pos=tick + 1))
-    snap = MemorySnapshot(schema=SCHEMA, log=log, model_tables={}, config={}, config_fingerprint="")
-    payload = json.loads(dumps_snapshot(snap))
-    first, second, _ = loads_snapshot(json.dumps(payload)).log.records
+    states = [make_state(pos=pos, go=True, tick=tick) for tick, pos in enumerate((0, 2, 1, 3))]
+    # Record 2 predicts record 0's next state, as a stored successor would.
+    log = EpisodeLog(
+        TransitionRecord(t, states[t], (True, False), states[1] if t == 2 else None, 0.0, 0.0, states[t + 1])
+        for t in range(3)
+    )
+    payload = json.loads(dumps_snapshot(MemorySnapshot(SCHEMA, log, {}, {}, "")))
+    first, second, third = loads_snapshot(_canonical(payload)).log.records
     assert second.state is first.next_state
-    payload["log"][1]["state"]["y"][0] = 0  # equal to the 0.0 before it, but an integer
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    first, second, _ = loads_snapshot(text).log.records
-    assert second.state is not first.next_state
-    assert dumps_snapshot(loads_snapshot(text)) == text
+    assert third.predicted_next is first.next_state
+    for index, field in ((1, "state"), (2, "predicted_next")):
+        changed = json.loads(json.dumps(payload))
+        changed["log"][index][field]["y"][0] = 0  # equal to the 0.0 before it, but an integer
+        text = _canonical(changed)
+        records = loads_snapshot(text).log.records
+        assert getattr(records[index], field) is not records[0].next_state
+        assert dumps_snapshot(loads_snapshot(text)) == text
+    for key, value in (("f", 2.0), ("a", True)):  # equal to the codes 2 and 1, but not integers
+        changed = json.loads(json.dumps(payload))
+        assert changed["log"][2]["predicted_next"][key][0] == value
+        changed["log"][2]["predicted_next"][key][0] = value
+        with pytest.raises(SnapshotError) as err:
+            loads_snapshot(_canonical(changed))
+        assert str(err.value) == f"log[2].predicted_next.{key}[0]: expected an integer, got {value}"
+
+
+@pytest.mark.parametrize("where", ["log", "successors"])
+def test_a_need_level_of_negative_zero_is_a_snapshot_error(where):
+    log = EpisodeLog([make_record(0, next_pos=1), make_record(1, pos=1)])  # log[1].state is shared
+    tables = {"successors": {"h": {"s": memory.state_to_dict(make_state(tick=1))}}}
+    payload = json.loads(dumps_snapshot(MemorySnapshot(SCHEMA, log, tables, {}, "")))
+    state = payload["log"][1]["state"] if where == "log" else payload["model"]["successors"]["h"]["s"]
+    assert state["y"][1] == 0.0
+    state["y"][1] = -0.0
+    with pytest.raises(SnapshotError) as err:
+        loads_snapshot(_canonical(payload))
+    path = "log[1].state.y[1]" if where == "log" else "model.successors['h']['s'].y[1]"
+    assert str(err.value) == f"{path}: -0.0 is not a need level"
 
 
 def test_loads_snapshot_requires_every_top_level_key():
@@ -434,10 +469,31 @@ def test_snapshot_codec_runs_with_the_collector_paused(monkeypatch):
     assert seen == [("record_to_dict", False)] * 3 + [("TransitionRecord", False)] * 3
 
 
+def _run_snapshot() -> MemorySnapshot:
+    return harness.snapshot_from_run(harness.run(harness.RunConfig(ticks=60)))
+
+
+def test_replay_runs_with_the_collector_paused(monkeypatch):
+    seen = []
+    rebuild = harness.rebuild_from_log
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return rebuild(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "rebuild_from_log", spy)
+    with collector(True):
+        assert harness.verify_snapshot(_run_snapshot()) == []
+        assert gc.isenabled()
+    assert seen == [False]
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_snapshot_codec_leaves_the_collector_as_it_found_it(enabled):
     broken = json.loads(dumps_snapshot(make_snapshot()))
     broken["log"][2]["energy"] = "x"
+    snapshot = _run_snapshot()
+    bad_config = dataclasses.replace(snapshot, config={**snapshot.config, "ticks": -1})
     with collector(enabled):
         text = dumps_snapshot(make_snapshot())
         assert gc.isenabled() is enabled
@@ -447,6 +503,11 @@ def test_snapshot_codec_leaves_the_collector_as_it_found_it(enabled):
             with pytest.raises(SnapshotError):
                 loads_snapshot(bad)
             assert gc.isenabled() is enabled
+        assert harness.verify_snapshot(snapshot) == []
+        assert gc.isenabled() is enabled
+        with pytest.raises(SnapshotError, match=r"^config\.ticks"):
+            harness.verify_snapshot(bad_config)
+        assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
