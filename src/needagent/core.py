@@ -17,7 +17,7 @@ disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import ne
+from operator import mul, ne, sub
 from typing import Iterable, Sequence
 
 
@@ -51,25 +51,24 @@ class StateSchema:
     """Fixed variable layout for one run.
 
     The schema is immutable after construction; every state vector carries a
-    reference to it so shape checks are cheap.
+    reference to it so shape checks are cheap.  ``width`` is the variable
+    count, computed once with the schema.
     """
 
     feelings: tuple[FeelingVar, ...]
     actions: tuple[str, ...]
     needs: tuple[str, ...]
+    width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = self.variable_names()
         if len(set(names)) != len(names):
             raise SchemaError("variable names must be unique across partitions")
+        object.__setattr__(self, "width", len(names))
 
     def variable_names(self) -> tuple[str, ...]:
         """All variable names in canonical order: feelings, actions, needs."""
         return tuple(f.name for f in self.feelings) + self.actions + self.needs
-
-    @property
-    def width(self) -> int:
-        return len(self.feelings) + len(self.actions) + len(self.needs)
 
     def index_of(self, name: str) -> int:
         """Canonical index of a variable, for constraint matrices."""
@@ -85,8 +84,8 @@ class StateVector:
 
     ``tick`` is bookkeeping, not a state variable: two states observed at
     different ticks with identical partitions are the same situation.
-    ``key`` is its fragment of :func:`state_key`, built with it from the
-    codes as given: ``1``, ``1.0`` and ``True`` encode to different strings.
+    ``key`` is its fragment of :func:`state_key`, the :func:`feeling_key` of
+    its codes as given: ``1``, ``1.0`` and ``True`` encode to different strings.
     """
 
     schema: StateSchema
@@ -120,7 +119,7 @@ class StateVector:
                 raise SchemaError(f"need {name!r}: level {level} outside [0, 1]")
         if self.tick < 0:
             raise SchemaError(f"tick must be >= 0, got {self.tick}")
-        object.__setattr__(self, "key", ",".join(map(str, self.feelings)))
+        object.__setattr__(self, "key", feeling_key(self.feelings))
 
     def values(self) -> tuple[float, ...]:
         """Concatenated variable values in canonical order."""
@@ -279,9 +278,7 @@ def reinforcement(
         raise SchemaError(
             f"profile has {len(profile.weights)} weights, state has {len(needs_before)} needs"
         )
-    return sum(
-        w * (b - a) for w, b, a in zip(profile.weights, needs_before, needs_after)
-    )
+    return sum(map(mul, profile.weights, map(sub, needs_before, needs_after)))
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:
@@ -307,6 +304,11 @@ def energy_spent(action_vector: Sequence[bool], cost: ActionCost) -> float:
             f"action vector has {len(action_vector)} entries, cost table {len(cost.costs)}"
         )
     return sum(c for a, c in zip(action_vector, cost.costs) if a)
+
+
+def feeling_key(feelings: Sequence[int]) -> str:
+    """The situation key of one state: its feeling codes, comma-joined."""
+    return ",".join(map(str, feelings))
 
 
 def state_key(window: Sequence[StateVector]) -> str:

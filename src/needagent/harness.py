@@ -15,6 +15,7 @@ import statistics
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import starmap
 from operator import attrgetter
 from random import Random
@@ -25,7 +26,7 @@ from needagent.decision import DecisionPolicy, MODES, decide
 from needagent.fields import FieldError, choice, items, number, optional, read, table, valid
 from needagent.memory import (
     EpisodeLog,
-    HistoryWindow,
+    HistoryWalk,
     MemorySnapshot,
     SnapshotError,
     TransitionRecord,
@@ -242,7 +243,8 @@ def run(config: RunConfig) -> RunResult:
     )
     driver = LearningDriver(model, params, config.strategy)
     log = EpisodeLog()
-    window = driver.window.push(state)  # decision window; the driver keeps its own
+    window = driver.window.push(state)  # after each ingest, the driver's ends in the new state
+    novelty_of = partial(novelty, model)
 
     metrics: list[MetricsRow] = []
     cumulative_hits = 0
@@ -256,7 +258,7 @@ def run(config: RunConfig) -> RunResult:
         outcome = env.step(
             decision.chosen_action,
             predicted=decision.expected_state,
-            novelty=lambda s: novelty(model, s),
+            novelty=novelty_of,
         )
         record = TransitionRecord(
             tick=tick,
@@ -278,25 +280,12 @@ def run(config: RunConfig) -> RunResult:
             recent_events.append(0)
         if recent_events:
             rolling = sum(recent_events) / len(recent_events)
-        needs = outcome.state.needs
-        metrics.append(
-            MetricsRow(
-                tick=tick + 1,
-                happy=needs[0],
-                sad=needs[1],
-                novelty=needs[2],
-                expectedness=needs[3],
-                feedback=outcome.feedback,
-                cumulative_hits=cumulative_hits,
-                cumulative_misses=cumulative_misses,
-                rolling_hit_rate=rolling,
-                explored=decision.explored,
-                energy=outcome.energy,
-            )
-        )
+        # The four need levels are the happy, sad, novelty and expectedness columns.
+        metrics.append(MetricsRow(tick + 1, *outcome.state.needs, outcome.feedback, cumulative_hits,
+                                  cumulative_misses, rolling, decision.explored, outcome.energy))
 
         state = outcome.state
-        window = window.push(state)
+        window = driver.window
         if (
             config.gc_horizon is not None
             and config.gc_interval > 0
@@ -310,20 +299,15 @@ def run(config: RunConfig) -> RunResult:
 def evidence_by_tick(records: Iterable[TransitionRecord], model: TransitionModel) -> dict[int, int]:
     """Model evidence for each record's transition, keyed by tick.
 
-    Windows are reconstructed the same way learning built them, resetting at
-    tick gaps, so the lookup matches what the tables actually hold.  The
-    first ``window_size - 1`` counts of a slice that starts mid-log see
-    truncated windows.
+    Windows follow the :class:`HistoryWalk` learning follows, so the lookup
+    matches what the tables actually hold.  The first ``window_size - 1``
+    counts of a slice that starts mid-log see truncated windows.
     """
     counts: dict[int, int] = {}
-    window = HistoryWindow(model.window_size)
-    previous = None
+    walk = HistoryWalk(model.window_size)
     for rec in records:
-        if previous is not None and rec.tick != previous + 1:
-            window = HistoryWindow(model.window_size)
-        previous = rec.tick
-        window = window.push(rec.state)
-        counts[rec.tick] = model.transition_evidence(window, rec.next_state)
+        walk.advance(rec)
+        counts[rec.tick] = model.transition_evidence(walk.learned, rec.next_state)
     return counts
 
 
@@ -361,6 +345,7 @@ def run_garbage_collection(
 # ======================================================================
 
 
+@collector_paused()
 def snapshot_from_run(result: RunResult) -> MemorySnapshot:
     return MemorySnapshot(
         schema=result.schema,
@@ -464,6 +449,7 @@ def metrics_from_csv(text: str) -> list[MetricsRow]:
     return rows
 
 
+@collector_paused()
 def write_metrics(rows: Sequence[MetricsRow], path: str) -> None:
     with atomic_writer(path) as fh:
         fh.write(metrics_to_csv(rows))

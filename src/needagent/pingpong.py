@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import eq
 from random import Random
 from typing import Callable
 
@@ -37,6 +38,7 @@ from needagent.core import (
     StateSchema,
     StateVector,
     energy_spent,
+    feeling_key,
 )
 
 ACTION_NAMES = ("move_left", "move_right")
@@ -156,15 +158,16 @@ class PingPong:
         self,
         action: tuple[bool, ...],
         predicted: StateVector | None = None,
-        novelty: Callable[[StateVector], float] | None = None,
+        novelty: Callable[[str], float] | None = None,
     ) -> EnvStep:
         """Advance one tick with the committed action.
 
         ``predicted`` is the agent's expectation for the resulting state and
         only feeds the expectedness need channel.  ``novelty`` scores how
-        fresh a candidate state is (1 = never seen); the harness passes the
-        world model's familiarity measure here.  Without it the channel reads
-        1, as that measure does before the model has seen anything.
+        fresh the incoming situation is (1 = never seen), given its key; the
+        harness passes the world model's familiarity measure here.  Without
+        it the channel reads 1, as that measure does before the model has
+        seen anything.
         """
         if self._rng is None:
             raise SchemaError("environment must be reset before stepping")
@@ -230,11 +233,12 @@ class PingPong:
         self._pending.append((self._tick + self.config.feedback_delay, value))
 
     def _due_feedback(self) -> float:
-        due = [v for t, v in self._pending if t <= self._tick]
-        self._pending = [(t, v) for t, v in self._pending if t > self._tick]
-        # Events resolve on distinct ticks and the delay is constant, so at
-        # most one value can be due.
-        return due[0] if due else 0.0
+        # Events resolve on distinct ticks and the delay is constant, so the
+        # queue is in due order and at most one value is due.
+        pending = self._pending
+        if pending and pending[0][0] <= self._tick:
+            return pending.pop(0)[1]
+        return 0.0
 
     # ------------------------------------------------------------------
 
@@ -243,7 +247,7 @@ class PingPong:
         action: tuple[bool, ...],
         feedback: float,
         predicted: StateVector | None,
-        novelty: Callable[[StateVector], float] | None = None,
+        novelty: Callable[[str], float] | None = None,
     ) -> StateVector:
         feelings = (
             self.ball_col,
@@ -256,14 +260,7 @@ class PingPong:
         if novelty is not None:
             # Score the incoming situation by its discrete identity; the need
             # channels are filled in afterwards and do not affect freshness.
-            preview = StateVector(
-                schema=self._schema,
-                feelings=feelings,
-                actions=action,
-                needs=(0.0,) * len(NEED_NAMES),
-                tick=self._tick,
-            )
-            novelty_raw = min(1.0, max(0.0, novelty(preview)))
+            novelty_raw = min(1.0, max(0.0, novelty(feeling_key(feelings))))
         happy_raw = min(1.0, HAPPY_GROWTH_PER_TICK * self._ticks_since_hit)
         expectedness_raw = 1.0 - _observable_similarity(predicted, feelings, action)
         levels = self.config.need_levels
@@ -273,13 +270,7 @@ class PingPong:
             quantize(novelty_raw, levels),
             quantize(expectedness_raw, levels),
         )
-        return StateVector(
-            schema=self._schema,
-            feelings=feelings,
-            actions=action,
-            needs=needs,
-            tick=self._tick,
-        )
+        return StateVector(self._schema, feelings, action, needs, self._tick)
 
 
 def _observable_similarity(
@@ -295,8 +286,7 @@ def _observable_similarity(
     """
     if predicted is None:
         return 0.0
-    matches = sum(1 for a, b in zip(predicted.feelings, feelings) if a == b)
-    matches += sum(1 for a, b in zip(predicted.actions, action) if a == b)
+    matches = sum(map(eq, predicted.feelings, feelings)) + sum(map(eq, predicted.actions, action))
     return matches / (len(feelings) + len(action))
 
 

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from needagent import harness, memory
 from needagent.cli import EXIT_IO, main
-from needagent.core import UsageError
+from needagent.core import UsageError, state_key
 from needagent.memory import (
     SNAPSHOT_VERSION,
     EpisodeLog,
+    HistoryWalk,
     HistoryWindow,
     MemorySnapshot,
     Segment,
@@ -88,6 +89,34 @@ def test_window_drops_the_oldest_state_beyond_capacity():
 def test_window_rejects_overfull_construction():
     with pytest.raises(UsageError):
         HistoryWindow(1, states=(make_state(), make_state()))
+
+
+def test_a_window_is_slotted_and_carries_its_key():
+    a, b = make_state(pos=1), make_state(pos=2, tick=1)
+    assert not hasattr(HistoryWindow(1), "__dict__")
+    assert HistoryWindow(2).key is None
+    assert HistoryWindow(2, (a, b)).key == HistoryWindow(2).push(a).push(b).key == state_key([a, b])
+    assert HistoryWindow(1).push(a).push(b).key == b.key
+    with pytest.raises(UsageError):
+        HistoryWindow(1, (a, a))
+
+
+def test_a_walk_reuses_the_window_that_ends_in_the_shared_state():
+    r0 = make_record(0, pos=0)
+    r1 = dataclasses.replace(make_record(1, pos=1), state=r0.next_state)
+    r2 = make_record(2, pos=2)  # equal to r1.next_state, but another object
+    walk = HistoryWalk(2)
+    assert walk.advance(r0) is True
+    assert walk.learned.states == (r0.state,)
+    decided = walk.window
+    assert walk.advance(r1) is False
+    assert walk.learned is decided
+    assert walk.window.states == (r0.next_state, r1.next_state)
+    assert walk.advance(r2) is False
+    assert walk.learned.states == (r0.next_state, r2.state)
+    assert walk.learned.states[-1] is r2.state
+    assert walk.advance(make_record(7, pos=3)) is True
+    assert len(walk.learned) == 1
 
 
 # ----------------------------------------------------------------------
@@ -531,3 +560,30 @@ def test_replay_of_a_malformed_snapshot_leaves_the_collector_as_it_found_it(enab
     with collector(enabled):
         assert main(["replay", "--snapshot", str(path)]) == EXIT_IO
         assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_snapshot_writing_leaves_the_collector_as_it_found_it(enabled, tmp_path, monkeypatch):
+    result = harness.run(harness.RunConfig(ticks=60))
+    seen = []
+    for owner, name in ((result.model, "to_tables"), (harness, "metrics_to_csv")):
+        original = getattr(owner, name)
+
+        def spy(*args, _original=original, **kwargs):
+            seen.append(gc.isenabled())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    with collector(enabled):
+        harness.snapshot_from_run(result)
+        assert gc.isenabled() is enabled
+        harness.write_metrics(result.metrics, str(tmp_path / "metrics.csv"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(FileNotFoundError):
+            harness.write_metrics(result.metrics, str(tmp_path / "absent" / "metrics.csv"))
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(result.model, "to_tables", lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            harness.snapshot_from_run(result)
+        assert gc.isenabled() is enabled
+    assert seen == [False, False]

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needagent.core import PriorityProfile, UsageError, state_key
@@ -289,10 +290,10 @@ def test_global_feedback_builds_windows_inside_the_segment():
 def test_novelty_decays_with_familiarity():
     model = TransitionModel()
     s = make_state()
-    assert novelty(model, s) == 1.0
+    assert novelty(model, s.key) == 1.0
     window = HistoryWindow(1).push(s)
     model.observe(window, make_state(pos=1, tick=1), 0.0, 1.0)
-    assert novelty(model, s) == 0.5
+    assert novelty(model, s.key) == 0.5
 
 
 def test_novelty_counts_appearances_on_both_sides():
@@ -304,7 +305,7 @@ def test_novelty_counts_appearances_on_both_sides():
     model.observe(window_s, other, 0.0, 1.0)   # s as history head
     model.observe(window_s, other, 0.0, 1.0)   # and again
     model.observe(window_other, s, 0.0, 1.0)   # s as successor
-    assert novelty(model, s) == 0.25
+    assert novelty(model, s.key) == 0.25
 
 
 def test_novelty_ignores_needs_and_actions():
@@ -312,7 +313,7 @@ def test_novelty_ignores_needs_and_actions():
     window = HistoryWindow(1).push(make_state())
     model.observe(window, make_state(pos=1, tick=1), 0.0, 1.0)
     dressed = make_state(go=True, hunger=0.7, tick=9)
-    assert novelty(model, dressed) == 0.5
+    assert novelty(model, dressed.key) == 0.5
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +373,123 @@ def _synthetic_log() -> EpisodeLog:
     for tick, (pos, next_pos, fb) in enumerate(plan):
         log.append(make_record(tick, pos=pos, next_pos=next_pos, feedback=fb))
     return log
+
+
+def _shared(log: EpisodeLog) -> EpisodeLog:
+    """The same records, each state the previous record's ``next_state``
+    object where it equals it, as in a live run or a loaded log."""
+    records, last = [], None
+    for rec in log:
+        if last is not None and rec.state == last:
+            rec = dataclasses.replace(rec, state=last)
+        records.append(rec)
+        last = rec.next_state
+    return EpisodeLog(records)
+
+
+def _reference_tables(log, params: LearningParams, strategy: str, window_size: int) -> dict:
+    """Learn ``log`` with windows built by pushing each record's state onto
+    the window learned on last, resetting it and the segment at tick gaps."""
+    model = TransitionModel(window_size=window_size)
+    window, segment, previous = HistoryWindow(window_size), [], None
+    for rec in log:
+        if previous is not None and rec.tick != previous + 1:
+            window, segment = HistoryWindow(window_size), []
+        previous = rec.tick
+        window = HistoryWindow(window_size, (window.states + (rec.state,))[-window_size:])
+        if strategy == STRATEGY_TRANSITION_MAP:
+            learn_transition(model, window, rec.next_state, rec.predicted_next, rec.energy, params)
+        segment.append(rec)
+        if rec.reinforcement_observed != 0:
+            apply_global_feedback(model, Segment(tuple(segment), rec.reinforcement_observed), params)
+            segment = []
+    return model.to_tables()
+
+
+@pytest.mark.parametrize("window_size", (1, 3))
+@pytest.mark.parametrize("shared", (True, False), ids=("shared", "equal"))
+def test_the_driver_window_ends_in_the_next_state(window_size, shared):
+    log = _shared(_synthetic_log()) if shared else _synthetic_log()
+    driver = LearningDriver(TransitionModel(window_size=window_size), make_params(), STRATEGY_SEGMENT)
+    assert driver.window.states == ()
+    for rec in log:
+        driver.ingest(rec)
+        assert driver.window.states[-1] is rec.next_state
+        assert driver.window.key == state_key(driver.window.states)
+        assert len(driver.window) == min(rec.tick + 2, window_size)
+
+
+@pytest.mark.parametrize("window_size", (1, 3))
+@pytest.mark.parametrize("strategy", (STRATEGY_SEGMENT, STRATEGY_TRANSITION_MAP))
+def test_an_equal_state_learns_as_the_shared_one(window_size, strategy):
+    log = _synthetic_log()
+    shared = _shared(log)
+    assert all(a.state == b.state for a, b in zip(log, shared))
+    assert sum(a.state is not b.state for a, b in zip(log, shared)) == len(log) - 1
+    params = make_params(step=0.25)
+    tables = rebuild_from_log(log, params, strategy, window_size).to_tables()
+    assert tables_equal(tables, rebuild_from_log(shared, params, strategy, window_size).to_tables()) == []
+    assert tables_equal(tables, _reference_tables(log, params, strategy, window_size)) == []
+
+
+def test_a_state_other_than_the_last_next_state_is_pushed_on_the_learned_window():
+    # Record 1 starts where record 0 did not end: it is learned on
+    # [r0.state, r1.state], never on a window holding r0.next_state.
+    r0 = make_record(0, pos=0, next_pos=1)
+    r1 = make_record(1, pos=2, next_pos=3, feedback=1.0)
+    r2 = make_record(2, pos=3, next_pos=0)
+    log = _shared(EpisodeLog([r0, r1, r2]))
+    assert log.records[1].state is r1.state and log.records[2].state is r1.next_state
+    model = TransitionModel(window_size=3)
+    driver = LearningDriver(model, make_params(), STRATEGY_TRANSITION_MAP)
+    for rec in log:
+        driver.ingest(rec)
+    assert state_key([r0.state, r1.state]) in model.utility
+    assert state_key([r0.state, r1.state, r2.state]) in model.utility
+    assert not any("1,0" in key.split("|") for key in model.utility)
+    assert driver.window.states == (r1.state, r2.state, r2.next_state)
+    assert tables_equal(model.to_tables(), _reference_tables(log, make_params(), STRATEGY_TRANSITION_MAP, 3)) == []
+
+
+_RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.integers(0, 3), st.sampled_from((0.0, 0.0, 1.0, -1.0)),
+        st.sampled_from(("follow", "follow", "equal", "other")), st.integers(1, 3),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_RECORDS, window_size=st.integers(1, 3),
+       strategy=st.sampled_from((STRATEGY_SEGMENT, STRATEGY_TRANSITION_MAP)))
+def test_the_driver_learns_any_log_as_the_reference_walk(plan, window_size, strategy):
+    # Records that follow share the previous next_state, equal ones copy it,
+    # other ones start elsewhere; a tick step above 1 is a gap.
+    records, tick = [], 0
+    for pos, next_pos, feedback, link, step in plan:
+        if records and step == 1:
+            last = records[-1].next_state
+            state = {"follow": last, "equal": dataclasses.replace(last),
+                     "other": make_state(pos=(last.feelings[0] + 1) % 4, tick=tick)}[link]
+        else:
+            state = make_state(pos=pos, tick=tick)
+        records.append(TransitionRecord(tick, state, (False, False), None, feedback, 0.0,
+                                        make_state(pos=next_pos, hunger=abs(feedback), tick=tick + 1)))
+        tick += step
+    params = make_params(step=0.5)
+    rebuilt = rebuild_from_log(records, params, strategy, window_size).to_tables()
+    assert tables_equal(rebuilt, _reference_tables(records, params, strategy, window_size)) == []
+
+
+def test_the_driver_window_starts_afresh_after_a_gap():
+    driver = LearningDriver(TransitionModel(window_size=3), make_params(), STRATEGY_TRANSITION_MAP)
+    r0, r1, r5 = make_record(0, pos=0, next_pos=1), make_record(1, pos=1, next_pos=2), make_record(5, pos=2, next_pos=3)
+    for rec in _shared(EpisodeLog([r0, r1])):
+        driver.ingest(rec)
+    assert len(driver.window) == 3
+    driver.ingest(r5)
+    assert driver.window.states == (r5.state, r5.next_state)
 
 
 @pytest.mark.parametrize("strategy", (STRATEGY_SEGMENT, STRATEGY_TRANSITION_MAP))

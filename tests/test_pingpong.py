@@ -5,9 +5,10 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needagent import pingpong
 from needagent.core import SchemaError, StateVector
 from needagent.pingpong import (
     ACTION_NAMES,
@@ -242,6 +243,23 @@ def test_feedback_delay_postpones_delivery():
     assert third.state.needs[0] == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    delay=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    actions=st.lists(st.sampled_from((STAY, LEFT, RIGHT)), max_size=120),
+)
+def test_feedback_is_the_event_sequence_shifted_by_the_delay(delay, seed, actions):
+    # Each hit or miss arrives as feedback exactly ``delay`` ticks after its
+    # event, alone on its tick; a value lost or merged shifts the sequence.
+    values = {EVENT_HIT: 1.0, EVENT_MISS: -1.0, None: 0.0}
+    env = PingPong(BoardConfig(feedback_delay=delay))
+    env.reset(seed)
+    outcomes = [env.step(action) for action in actions]
+    events = [values[o.event] for o in outcomes]
+    assert [o.feedback for o in outcomes] == ([0.0] * delay + events)[: len(actions)]
+
+
 def test_novelty_reads_one_without_a_callable():
     # The model's measure before it has seen anything; a repeated board
     # configuration does not make it fall.
@@ -252,20 +270,21 @@ def test_novelty_reads_one_without_a_callable():
         assert env.step(STAY).state.needs[2] == 1.0
 
 
-def test_novelty_callable_receives_a_needless_preview():
+def test_novelty_callable_receives_the_situation_key(monkeypatch):
     env = PingPong()
     env.reset(seed=3)
     place(env, col=1, row=1, dcol=1, drow=1, racket=2)
-    seen = {}
+    seen = []
+    built = []
 
-    def probe(state: StateVector) -> float:
-        seen["feelings"] = state.feelings
-        seen["needs"] = state.needs
-        return 1.0
+    def counted(*args, **kwargs):
+        built.append(StateVector(*args, **kwargs))
+        return built[-1]
 
-    out = env.step(RIGHT, novelty=probe)
-    assert seen["needs"] == (0.0, 0.0, 0.0, 0.0)
-    assert seen["feelings"] == out.state.feelings
+    monkeypatch.setattr(pingpong, "StateVector", counted)
+    out = env.step(RIGHT, novelty=lambda key: seen.append(key) or 1.0)
+    assert seen == [out.state.key] and type(seen[0]) is str
+    assert built == [out.state] and built[0] is out.state
     assert out.state.needs[2] == 1.0
 
 
