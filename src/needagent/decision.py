@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from random import Random
+from typing import NamedTuple
 
 from needagent.core import (
     ConstraintMatrices,
@@ -22,7 +23,7 @@ from needagent.core import (
     pairs_hold,
 )
 from needagent.memory import HistoryWindow
-from needagent.model import Prospect, TransitionModel, predict_successors
+from needagent.model import TransitionModel, predict_successors
 
 MODE_PROSPECTED = "prospected"
 MODE_UTILITY_ONLY = "utility-only"
@@ -55,30 +56,22 @@ class DecisionPolicy:
             )
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     chosen_action: tuple[bool, ...]
     expected_state: StateVector | None
     score: float
     explored: bool
 
 
-def _rank(prospect: Prospect, policy: DecisionPolicy) -> tuple[float, ...]:
-    # The first entry is the prospect's score; lexicographic mode adds
-    # probability as a tie key, not as part of the score.
-    if policy.mode == MODE_PROSPECTED:
-        return (prospect.utility * prospect.probability,)
-    if policy.mode == MODE_UTILITY_ONLY:
-        return (prospect.utility,)
-    return (prospect.utility, prospect.probability)
-
-
-def _best(prospects: list[Prospect], policy: DecisionPolicy) -> Prospect:
-    # Highest rank wins; equal ranks fall back to the smaller successor key.
-    def order(p: Prospect):
-        return tuple(-value for value in _rank(p, policy)) + (p.sort_key,)
-
-    return min(prospects, key=order)
+# One order key per policy mode; the smallest key wins.  The first entry is
+# the negated score, lexicographic mode adds probability as a tie key rather
+# than as part of the score, and equal ranks fall back to the smaller
+# successor key.
+_ORDER = {
+    MODE_PROSPECTED: lambda p: (-(p.utility * p.probability), p.sort_key),
+    MODE_UTILITY_ONLY: lambda p: (-p.utility, p.sort_key),
+    MODE_LEXICOGRAPHIC: lambda p: (-p.utility, -p.probability, p.sort_key),
+}
 
 
 def action_candidates(
@@ -128,20 +121,13 @@ def decide(
     explore_draw = rng.random() < policy.exploration_rate
     prospects = predict_successors(model, history)
     valid = [p for p in prospects if check_constraints(p.state, constraints)]
+    order = _ORDER[policy.mode]
     if explore_draw or not valid:
         candidates = _legal_actions(schema, constraints)
         chosen = candidates[rng.randrange(len(candidates))]
         expected = next((p for p in valid if p.state.actions == chosen), None)
-        return Decision(
-            chosen_action=chosen,
-            expected_state=None if expected is None else expected.state,
-            score=0.0 if expected is None else _rank(expected, policy)[0],
-            explored=True,
-        )
-    best = _best(valid, policy)
-    return Decision(
-        chosen_action=best.state.actions,
-        expected_state=best.state,
-        score=_rank(best, policy)[0],
-        explored=False,
-    )
+        if expected is None:
+            return Decision(chosen, None, 0.0, True)
+        return Decision(chosen, expected.state, -order(expected)[0], True)
+    best = min(valid, key=order)
+    return Decision(best.state.actions, best.state, -order(best)[0], False)

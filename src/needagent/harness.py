@@ -250,6 +250,7 @@ def run(config: RunConfig) -> RunResult:
     cumulative_hits = 0
     cumulative_misses = 0
     recent_events: deque[int] = deque(maxlen=ROLLING_WINDOW_EVENTS)
+    recent_hits = 0  # the hits among recent_events
     rolling = 0.0
     trusted_below = 0  # GC frontier: every record before this tick is trusted for good
 
@@ -272,14 +273,15 @@ def run(config: RunConfig) -> RunResult:
         log.append(record)
         driver.ingest(record)
 
-        if outcome.feedback > 0:
-            cumulative_hits += 1
-            recent_events.append(1)
-        elif outcome.feedback < 0:
-            cumulative_misses += 1
-            recent_events.append(0)
-        if recent_events:
-            rolling = sum(recent_events) / len(recent_events)
+        if outcome.feedback:
+            hit = int(outcome.feedback > 0)
+            cumulative_hits += hit
+            cumulative_misses += 1 - hit
+            if len(recent_events) == ROLLING_WINDOW_EVENTS:
+                recent_hits -= recent_events[0]  # the event the append evicts
+            recent_events.append(hit)
+            recent_hits += hit
+            rolling = recent_hits / len(recent_events)
         # The four need levels are the happy, sad, novelty and expectedness columns.
         metrics.append(MetricsRow(tick + 1, *outcome.state.needs, outcome.feedback, cumulative_hits,
                                   cumulative_misses, rolling, decision.explored, outcome.energy))

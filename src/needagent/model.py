@@ -15,6 +15,7 @@ rather than trickling backwards step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from needagent.core import (
     PriorityProfile,
@@ -55,10 +56,10 @@ class LearningParams:
             raise UsageError(f"utility_step must be in (0, 1], got {self.utility_step}")
 
 
-@dataclass(frozen=True)
-class Prospect:
+class Prospect(NamedTuple):
     """One candidate outcome of the current history: a recorded successor
-    with its learned utility and empirical probability."""
+    with its learned utility and empirical probability, as an immutable
+    tuple."""
 
     state: StateVector
     utility: float
@@ -163,14 +164,18 @@ def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[P
         return []
     probability = model.probabilities(hk)
     row_u = model.utility[hk]
-    prospects = []
+    # ``observe`` files the tables and the index under the same state key, so
+    # under state keying the index key is the table key.
+    by_action = model.successor_keying == SUCCESSOR_KEYING_ACTION
+    ranked = []
     for skey, state in states.items():
-        k = model.successor_key(state)
-        prospects.append(
-            Prospect(state=state, utility=row_u[k], probability=probability[k], sort_key=skey)
-        )
-    prospects.sort(key=lambda p: (-(p.utility * p.probability), p.sort_key))
-    return prospects
+        k = model.successor_key(state) if by_action else skey
+        u = row_u[k]
+        p = probability[k]
+        # A row's keys are unique, so the prospect itself is never compared.
+        ranked.append((-(u * p), skey, Prospect(state, u, p, skey)))
+    ranked.sort()
+    return [entry[2] for entry in ranked]
 
 
 # ======================================================================

@@ -17,18 +17,21 @@ from needagent.core import (
     check_constraints,
     state_key,
 )
+from needagent import decision, harness
 from needagent.decision import (
     MODE_LEXICOGRAPHIC,
     MODE_PROSPECTED,
     MODE_UTILITY_ONLY,
     MODES,
+    Decision,
     DecisionError,
     DecisionPolicy,
     action_candidates,
     decide,
 )
+from needagent.harness import RunConfig, run
 from needagent.memory import HistoryWindow
-from needagent.model import Prospect, TransitionModel, predict_successors
+from needagent.model import SUCCESSOR_KEYINGS, Prospect, TransitionModel, predict_successors
 
 from conftest import SCHEMA, make_state
 
@@ -39,9 +42,9 @@ def exploit_policy(mode: str) -> DecisionPolicy:
     return DecisionPolicy(mode=mode, exploration_rate=0.0)
 
 
-def observed_model(entries) -> tuple[TransitionModel, HistoryWindow]:
+def observed_model(entries, successor_keying: str = "state") -> tuple[TransitionModel, HistoryWindow]:
     """Model with one known history; entries are (state, l_value, count)."""
-    model = TransitionModel()
+    model = TransitionModel(successor_keying=successor_keying)
     window = HistoryWindow(1).push(make_state(pos=3, phase=2))
     for state, l_value, count in entries:
         for _ in range(count):
@@ -232,6 +235,37 @@ def test_exploration_reports_the_matching_prospect_when_one_exists():
     assert seen_none and seen_match
 
 
+def test_a_decision_is_an_immutable_tuple_with_the_old_fields():
+    assert Decision._fields == ("chosen_action", "expected_state", "score", "explored")
+    model, window = _three_way_model()
+    made = decide(model, window, NO_CONSTRAINTS, exploit_policy(MODE_PROSPECTED), Random(0))
+    with pytest.raises(AttributeError):
+        made.score = 1.0
+    with pytest.raises(AttributeError):
+        made.note = "new"
+
+
+def test_decisions_look_up_the_traced_names(monkeypatch):
+    # perfbench's tracer rebinds ``harness.decide`` and
+    # ``decision.predict_successors``; a caller that bypassed either name
+    # would leave its spans empty and ``prospects_per_decide`` at 0.
+    calls = []
+    for owner, attr in ((harness, "decide"), (decision, "predict_successors")):
+        original = getattr(owner, attr)
+
+        def counted(*args, _attr=attr, _original=original):
+            calls.append(_attr)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    model, window = _three_way_model()
+    for rate in (0.0, 1.0):
+        decide(model, window, NO_CONSTRAINTS, DecisionPolicy(exploration_rate=rate), Random(0))
+    assert calls == ["predict_successors"] * 2
+    run(RunConfig(seed=0, ticks=40))
+    assert calls[2:] == ["decide", "predict_successors"] * 40
+
+
 def test_decide_rejects_an_empty_window():
     with pytest.raises(DecisionError):
         decide(TransitionModel(), HistoryWindow(1), NO_CONSTRAINTS, exploit_policy(MODE_PROSPECTED), Random(0))
@@ -274,9 +308,11 @@ def test_decide_matches_the_brute_force_oracle():
             )
             # Small value grids force plenty of exact ties.
             successors.append((state, float(rng.randint(-1, 2)), rng.randint(1, 3)))
-        model, window = observed_model(successors)
-        for mode in MODES:
+        for keying, mode in itertools.product(SUCCESSOR_KEYINGS, MODES):
+            model, window = observed_model(successors, keying)
             expected = brute_force_choice(predict_successors(model, window), mode)
-            decision = decide(model, window, NO_CONSTRAINTS, exploit_policy(mode), Random(trial))
-            assert decision.chosen_action == expected.state.actions
-            assert decision.expected_state == expected.state
+            made = decide(model, window, NO_CONSTRAINTS, exploit_policy(mode), Random(trial))
+            assert made.chosen_action == expected.state.actions
+            assert made.expected_state == expected.state
+            top = expected.utility * expected.probability if mode == MODE_PROSPECTED else expected.utility
+            assert made.score == top

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,6 +193,19 @@ def test_run_counts_match_the_feedback_record(small_run):
     assert last.cumulative_hits == sum(1 for m in small_run.metrics if m.feedback > 0)
     # The log carries exactly the feedback events the metrics counted.
     assert sum(1 for rec in small_run.log if rec.reinforcement_observed != 0) == events
+
+
+def test_rolling_hit_rate_is_the_hit_share_of_the_last_100_events():
+    metrics = run(RunConfig(seed=0, ticks=3000)).metrics
+    recent: deque[int] = deque(maxlen=100)
+    rolling = 0.0
+    for m in metrics:
+        if m.feedback != 0.0:
+            recent.append(1 if m.feedback > 0 else 0)
+            rolling = sum(recent) / len(recent)
+        assert m.rolling_hit_rate == rolling
+    # The window wrapped many times, so evicted events are covered too.
+    assert metrics[-1].cumulative_hits + metrics[-1].cumulative_misses > 300
 
 
 def test_run_metrics_stay_in_range(small_run):

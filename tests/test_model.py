@@ -14,8 +14,10 @@ from needagent.memory import EpisodeLog, HistoryWindow, Segment, TransitionRecor
 from needagent.model import (
     STRATEGY_SEGMENT,
     STRATEGY_TRANSITION_MAP,
+    SUCCESSOR_KEYINGS,
     LearningDriver,
     LearningParams,
+    Prospect,
     TransitionModel,
     apply_global_feedback,
     learn_transition,
@@ -190,6 +192,73 @@ def test_predict_successors_breaks_ties_by_ascending_key():
     model.observe(window, make_state(pos=1, tick=1), 1.0, 1.0)
     prospects = predict_successors(model, window)
     assert [p.sort_key for p in prospects] == ["1,0", "2,0"]
+
+
+def test_action_keying_ranks_states_that_share_an_action_by_state_key():
+    model = TransitionModel(successor_keying="action")
+    window = HistoryWindow(1).push(make_state())
+    late = make_state(pos=2, go=True, tick=1)
+    early = make_state(pos=1, go=True, tick=1)
+    model.observe(window, late, 3.0, 1.0)
+    model.observe(window, early, 1.0, 1.0)
+    model.observe(window, make_state(pos=3, tick=1), 1.0, 1.0)
+    first, second, third = predict_successors(model, window)
+    # Both go-states read the one (go) row entry: utility 1.0, probability 2/3.
+    assert (first.state, second.state) == (early, late)
+    assert (first.utility, first.probability) == (second.utility, second.probability) == (1.0, 2 / 3)
+    assert third.sort_key == "3,0"
+
+
+def test_a_prospect_is_an_immutable_tuple_with_the_old_fields():
+    assert Prospect._fields == ("state", "utility", "probability", "sort_key")
+    prospect = Prospect(make_state(), 1.0, 0.5, "0,0")
+    with pytest.raises(AttributeError):
+        prospect.utility = 2.0
+    with pytest.raises(AttributeError):
+        prospect.note = "new"
+
+
+def reference_prospects(model: TransitionModel, history: HistoryWindow) -> list[Prospect]:
+    """The ranking as first written: one keyed lookup per successor, then a
+    sort on descending utility x probability and ascending state key."""
+    states = model.successor_states.get(history.key)
+    if not states:
+        return []
+    probability = model.probabilities(history.key)
+    row_u = model.utility[history.key]
+    prospects = [
+        Prospect(state, row_u[model.successor_key(state)], probability[model.successor_key(state)], skey)
+        for skey, state in states.items()
+    ]
+    prospects.sort(key=lambda p: (-(p.utility * p.probability), p.sort_key))
+    return prospects
+
+
+_states = st.builds(
+    make_state, pos=st.integers(0, 3), phase=st.integers(0, 2), go=st.booleans(), grab=st.booleans()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keying=st.sampled_from(SUCCESSOR_KEYINGS),
+    window_size=st.sampled_from((1, 3)),
+    heads=st.lists(_states, min_size=1, max_size=5),
+    # (which window, successor, small integer l-value, step): exact ties occur
+    observations=st.lists(
+        st.tuples(st.integers(0, 4), _states, st.integers(-2, 2), st.sampled_from((0.5, 1.0))),
+        max_size=30,
+    ),
+)
+def test_predict_successors_matches_the_reference_ranking(keying, window_size, heads, observations):
+    model = TransitionModel(window_size=window_size, successor_keying=keying)
+    windows = [HistoryWindow(window_size).push(heads[0])]
+    for state in heads[1:]:
+        windows.append(windows[-1].push(state))
+    for which, state, l_value, step in observations:
+        model.observe(windows[which % len(windows)], state, float(l_value), step)
+    for window in windows:
+        assert predict_successors(model, window) == reference_prospects(model, window)
 
 
 def test_predict_successors_empty_for_unknown_history():
