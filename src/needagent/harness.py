@@ -14,12 +14,12 @@ import math
 import statistics
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import starmap
 from operator import attrgetter
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence, get_type_hints
 
 from needagent.core import ActionCost, PriorityProfile, SchemaError, StateSchema, energy_spent
 from needagent.decision import DecisionPolicy, MODES, decide
@@ -201,8 +201,7 @@ def derive_seed(seed: int, stream: str) -> int:
 # ======================================================================
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     tick: int
     happy: float
     sad: float
@@ -261,15 +260,8 @@ def run(config: RunConfig) -> RunResult:
             predicted=decision.expected_state,
             novelty=novelty_of,
         )
-        record = TransitionRecord(
-            tick=tick,
-            state=state,
-            chosen_action=decision.chosen_action,
-            predicted_next=decision.expected_state,
-            reinforcement_observed=outcome.feedback,
-            energy=outcome.energy,
-            next_state=outcome.state,
-        )
+        record = TransitionRecord(tick, state, decision.chosen_action, decision.expected_state,
+                                  outcome.feedback, outcome.energy, outcome.state)
         log.append(record)
         driver.ingest(record)
 
@@ -403,20 +395,18 @@ def verify_snapshot(snapshot: MemorySnapshot) -> list[str]:
 # metrics serialization
 # ======================================================================
 
-CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+CSV_COLUMNS = MetricsRow._fields
 _FINITE = number(float)
-# Format and parser of a cell by its field's declared type (text, as annotations
-# are postponed).  A cell is read only if its value formats back to that text.
-_FORMATS = {"float": "{:.6f}", "bool": "{:d}"}  # any other type is "{}"
-_PARSERS = {"int": int, "float": lambda cell: _FINITE(float(cell)), "bool": lambda cell: int(cell) == 1}
+# Format and parser of a cell by its field's declared type.  A cell is read
+# only if its value formats back to that text.
+_FORMATS = {float: "{:.6f}", bool: "{:d}"}  # any other type is "{}"
+_PARSERS = {int: int, float: lambda cell: _FINITE(float(cell)), bool: lambda cell: int(cell) == 1}
 
 
-def _to_csv(rows: Sequence, row_type: type, header: str | None = None) -> str:
-    """A header, then one line of ``row_type``'s fields per row; LF line endings."""
-    names = [f.name for f in fields(row_type)]
-    template = ",".join(_FORMATS.get(f.type, "{}") for f in fields(row_type))
-    lines = starmap(template.format, map(attrgetter(*names), rows))
-    return "\n".join([header or ",".join(names), *lines]) + "\n"
+def _to_csv(rows: Sequence[tuple], row_type: type, header: str | None = None) -> str:
+    """A header, then one line of the fields of each ``row_type`` row; LF line endings."""
+    template = ",".join(_FORMATS.get(kind, "{}") for kind in get_type_hints(row_type).values())
+    return "\n".join([header or ",".join(row_type._fields), *starmap(template.format, rows)]) + "\n"
 
 
 def metrics_to_csv(rows: Sequence[MetricsRow]) -> str:
@@ -424,7 +414,8 @@ def metrics_to_csv(rows: Sequence[MetricsRow]) -> str:
     return _to_csv(rows, MetricsRow)
 
 
-_METRICS_CELLS = [(f.name, _FORMATS.get(f.type, "{}"), _PARSERS[f.type]) for f in fields(MetricsRow)]
+_METRICS_CELLS = [(name, _FORMATS.get(kind, "{}"), _PARSERS[kind])
+                  for name, kind in get_type_hints(MetricsRow).items()]
 
 
 def metrics_from_csv(text: str) -> list[MetricsRow]:
@@ -467,8 +458,7 @@ def read_metrics(path: str) -> list[MetricsRow]:
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class SweepRun:
+class SweepRun(NamedTuple):
     profile_label: str
     seed: int
     final_rolling_hit_rate: float
@@ -476,8 +466,7 @@ class SweepRun:
     misses: int
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     profile_label: str
     runs: int
     mean_final_hit_rate: float

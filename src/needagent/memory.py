@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from needagent.core import FeelingVar, StateSchema, StateVector, UsageError, state_key
 from needagent.fields import FieldError, entries, items, number, optional, read, table, valid
@@ -43,9 +43,9 @@ class SnapshotVersionError(SnapshotError):
 # ======================================================================
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionRecord:
-    """One completed transition, written once the outcome is known.
+class TransitionRecord(NamedTuple):
+    """One completed transition, written once the outcome is known, as an
+    immutable tuple.
 
     ``reinforcement_observed`` is the explicit feedback channel value that
     arrived with the outcome (zero on uneventful ticks); need-derived

@@ -15,7 +15,7 @@ rather than trickling backwards step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from needagent.core import (
     PriorityProfile,
@@ -219,7 +219,12 @@ def learn_transition(
     model.observe(history, next_state, l_value, params.utility_step)
 
 
-def apply_global_feedback(model: TransitionModel, segment: Segment, params: LearningParams) -> None:
+def apply_global_feedback(
+    model: TransitionModel,
+    segment: Segment,
+    params: LearningParams,
+    learned: Sequence[HistoryWindow] | None = None,
+) -> None:
     """Uniform terminal credit over a closed segment.
 
     The need-derived reinforcement of the segment's closing transition is
@@ -227,14 +232,21 @@ def apply_global_feedback(model: TransitionModel, segment: Segment, params: Lear
     first; evidence counts rise by one per transition.  History windows are
     built from the segment's own records, so credit never leaks across
     segment boundaries.  Raises :class:`UsageError` on an open segment.
+
+    ``learned``, if given, holds the window each record was learned on, as
+    :class:`LearningDriver` keeps them.  From the segment's ``window_size``-th
+    record on, that window holds only the segment's own states, so it is used
+    as it is; only the records before it get windows built here.
     """
     if not segment.closed:
         raise UsageError("cannot apply feedback from an open segment")
-    last = segment.records[-1]
+    records = segment.records
+    last = records[-1]
     terminal = reinforcement(params.priority, last.state.needs, last.next_state.needs)
+    built = len(records) if learned is None else model.window_size - 1
     window = HistoryWindow(model.window_size)
-    for rec in segment.records:
-        window = window.push(rec.state)
+    for i, rec in enumerate(records):
+        window = window.push(rec.state) if i < built else learned[i]
         l_value = _l_value(params, terminal, rec.predicted_next, rec.next_state, rec.energy)
         model.observe(window, rec.next_state, l_value, params.utility_step)
 
@@ -269,18 +281,21 @@ class LearningDriver:
         self.strategy = strategy
         self._walk = HistoryWalk(model.window_size)
         self._segment: list[TransitionRecord] = []
+        self._learned: list[HistoryWindow] = []  # the window of each record of the open segment
 
     def ingest(self, rec: TransitionRecord) -> None:
-        if self._walk.advance(rec):
-            self._segment = []
+        walk = self._walk
+        if walk.advance(rec):
+            self._segment, self._learned = [], []
         if self.strategy == STRATEGY_TRANSITION_MAP:
-            learn_transition(self.model, self._walk.learned, rec.next_state, rec.predicted_next,
+            learn_transition(self.model, walk.learned, rec.next_state, rec.predicted_next,
                              rec.energy, self.params)
         self._segment.append(rec)
+        self._learned.append(walk.learned)
         if rec.reinforcement_observed != 0:
             segment = Segment(tuple(self._segment), rec.reinforcement_observed)
-            apply_global_feedback(self.model, segment, self.params)
-            self._segment = []
+            apply_global_feedback(self.model, segment, self.params, self._learned)
+            self._segment, self._learned = [], []
 
     @property
     def window(self) -> HistoryWindow:

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from operator import eq
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from needagent.core import (
     ActionCost,
@@ -108,9 +109,8 @@ def build_action_cost(schema: StateSchema, cost_per_move: float = 1.0) -> Action
     return ActionCost(costs=(cost_per_move,) * len(schema.actions))
 
 
-@dataclass(frozen=True)
-class EnvStep:
-    """Outcome of one environment tick."""
+class EnvStep(NamedTuple):
+    """Outcome of one environment tick, as an immutable tuple."""
 
     state: StateVector
     feedback: float
@@ -127,6 +127,8 @@ class PingPong:
         self._constraints = build_constraints(self._schema)
         self._cost = build_action_cost(self._schema)
         self._rng: Random | None = None
+        # A need channel takes few distinct raw values, so each is snapped once.
+        self._snap = cache(partial(quantize, levels=config.need_levels))
 
     def schema(self) -> StateSchema:
         return self._schema
@@ -222,12 +224,7 @@ class PingPong:
         state = self._sense(
             action=action, feedback=feedback, predicted=predicted, novelty=novelty
         )
-        return EnvStep(
-            state=state,
-            feedback=feedback,
-            energy=energy_spent(action, self._cost),
-            event=event,
-        )
+        return EnvStep(state, feedback, energy_spent(action, self._cost), event)
 
     def _queue_feedback(self, value: float) -> None:
         self._pending.append((self._tick + self.config.feedback_delay, value))
@@ -263,13 +260,8 @@ class PingPong:
             novelty_raw = min(1.0, max(0.0, novelty(feeling_key(feelings))))
         happy_raw = min(1.0, HAPPY_GROWTH_PER_TICK * self._ticks_since_hit)
         expectedness_raw = 1.0 - _observable_similarity(predicted, feelings, action)
-        levels = self.config.need_levels
-        needs = (
-            quantize(happy_raw, levels),
-            quantize(self._sad_raw, levels),
-            quantize(novelty_raw, levels),
-            quantize(expectedness_raw, levels),
-        )
+        snap = self._snap
+        needs = (snap(happy_raw), snap(self._sad_raw), snap(novelty_raw), snap(expectedness_raw))
         return StateVector(self._schema, feelings, action, needs, self._tick)
 
 

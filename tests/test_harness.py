@@ -17,6 +17,8 @@ from needagent.harness import (
     MetricsRow,
     RunConfig,
     RunResult,
+    SweepRun,
+    SweepSummary,
     config_fingerprint,
     config_from_dict,
     config_to_dict,
@@ -35,8 +37,9 @@ from needagent.harness import (
 )
 from needagent.core import PriorityProfile
 from needagent import harness
-from needagent.memory import SnapshotError, dumps_snapshot, loads_snapshot
+from needagent.memory import SnapshotError, TransitionRecord, dumps_snapshot, loads_snapshot
 from needagent.model import STRATEGIES, STRATEGY_SEGMENT, SUCCESSOR_KEYINGS
+from needagent.pingpong import EnvStep, PingPong
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +254,37 @@ def test_zero_tick_run_is_empty():
 def test_final_rolling_hit_rate_of_an_empty_result():
     empty = RunResult(config=RunConfig(), schema=None, log=None, model=None, metrics=[])
     assert empty.final_rolling_hit_rate == 0.0
+
+
+_ROW_TYPES = (
+    (TransitionRecord, ("tick", "state", "chosen_action", "predicted_next", "reinforcement_observed",
+                        "energy", "next_state")),
+    (EnvStep, ("state", "feedback", "energy", "event")),
+    (MetricsRow, ("tick", "happy", "sad", "novelty", "expectedness", "feedback", "cumulative_hits",
+                  "cumulative_misses", "rolling_hit_rate", "explored", "energy")),
+    (SweepRun, ("profile_label", "seed", "final_rolling_hit_rate", "hits", "misses")),
+    (SweepSummary, ("profile_label", "runs", "mean_final_hit_rate", "stdev_final_hit_rate")),
+)
+
+
+@pytest.mark.parametrize("row_type, names", _ROW_TYPES, ids=[t.__name__ for t, _ in _ROW_TYPES])
+def test_a_row_type_is_an_immutable_tuple_with_the_old_fields(row_type, names):
+    assert row_type._fields == names
+    row = row_type(*range(len(names)))
+    assert row == tuple(range(len(names)))
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(row, names[0], -1)
+    with pytest.raises(AttributeError):
+        row.note = "new"
+
+
+def test_a_run_builds_its_records_as_the_row_types(small_run):
+    assert type(small_run.log.records[0]) is TransitionRecord
+    assert type(small_run.metrics[0]) is MetricsRow
+    env = PingPong(small_run.config.board)
+    env.reset(0)
+    assert type(env.step((False, False))) is EnvStep
 
 
 # ----------------------------------------------------------------------
@@ -533,6 +567,13 @@ def test_sweep_rejects_empty_inputs():
         sweep(RunConfig(ticks=10), [], seeds=[0])
     with pytest.raises(ConfigError):
         sweep(RunConfig(ticks=10), PROFILES, seeds=[])
+
+
+def test_sweep_csv_cells_are_formatted_by_declared_type():
+    runs_csv, summary_csv = sweep_to_csv([SweepRun("asym", 3, 0.41254, 7, 9)],
+                                         [SweepSummary("asym", 1, 0.5, 0.0)])
+    assert runs_csv == "profile,seed,final_rolling_hit_rate,hits,misses\nasym,3,0.412540,7,9\n"
+    assert summary_csv == "profile,runs,mean_final_hit_rate,stdev_final_hit_rate\nasym,1,0.500000,0.000000\n"
 
 
 def test_sweep_csv_shapes():

@@ -103,7 +103,7 @@ def test_a_window_is_slotted_and_carries_its_key():
 
 def test_a_walk_reuses_the_window_that_ends_in_the_shared_state():
     r0 = make_record(0, pos=0)
-    r1 = dataclasses.replace(make_record(1, pos=1), state=r0.next_state)
+    r1 = make_record(1, pos=1)._replace(state=r0.next_state)
     r2 = make_record(2, pos=2)  # equal to r1.next_state, but another object
     walk = HistoryWalk(2)
     assert walk.advance(r0) is True

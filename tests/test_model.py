@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needagent.core import PriorityProfile, UsageError, state_key
+import needagent.model as model_module
+from needagent.core import PriorityProfile, UsageError, reinforcement, state_distance, state_key
+from needagent.harness import RunConfig, run
 from needagent.memory import EpisodeLog, HistoryWindow, Segment, TransitionRecord
 from needagent.model import (
     STRATEGY_SEGMENT,
@@ -450,7 +452,7 @@ def _shared(log: EpisodeLog) -> EpisodeLog:
     records, last = [], None
     for rec in log:
         if last is not None and rec.state == last:
-            rec = dataclasses.replace(rec, state=last)
+            rec = rec._replace(state=last)
         records.append(rec)
         last = rec.next_state
     return EpisodeLog(records)
@@ -458,19 +460,31 @@ def _shared(log: EpisodeLog) -> EpisodeLog:
 
 def _reference_tables(log, params: LearningParams, strategy: str, window_size: int) -> dict:
     """Learn ``log`` with windows built by pushing each record's state onto
-    the window learned on last, resetting it and the segment at tick gaps."""
+    the window learned on last, resetting it and the segment at tick gaps,
+    and credit a closed segment on windows built afresh from its own states."""
     model = TransitionModel(window_size=window_size)
-    window, segment, previous = HistoryWindow(window_size), [], None
+
+    def fit(states) -> HistoryWindow:
+        return HistoryWindow(window_size, states[-window_size:])
+
+    window, segment, previous = fit(()), [], None
     for rec in log:
         if previous is not None and rec.tick != previous + 1:
-            window, segment = HistoryWindow(window_size), []
+            window, segment = fit(()), []
         previous = rec.tick
-        window = HistoryWindow(window_size, (window.states + (rec.state,))[-window_size:])
+        window = fit(window.states + (rec.state,))
         if strategy == STRATEGY_TRANSITION_MAP:
             learn_transition(model, window, rec.next_state, rec.predicted_next, rec.energy, params)
         segment.append(rec)
         if rec.reinforcement_observed != 0:
-            apply_global_feedback(model, Segment(tuple(segment), rec.reinforcement_observed), params)
+            terminal = reinforcement(params.priority, rec.state.needs, rec.next_state.needs)
+            credit = fit(())
+            for old in segment:
+                credit = fit(credit.states + (old.state,))
+                value = terminal - params.priority.energy_weight * old.energy
+                if old.predicted_next is not None and params.predictability_weight:
+                    value += params.predictability_weight * (1.0 - state_distance(old.predicted_next, old.next_state))
+                model.observe(credit, old.next_state, value, params.utility_step)
             segment = []
     return model.to_tables()
 
@@ -529,26 +543,91 @@ _RECORDS = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(plan=_RECORDS, window_size=st.integers(1, 3),
-       strategy=st.sampled_from((STRATEGY_SEGMENT, STRATEGY_TRANSITION_MAP)))
-def test_the_driver_learns_any_log_as_the_reference_walk(plan, window_size, strategy):
-    # Records that follow share the previous next_state, equal ones copy it,
-    # other ones start elsewhere; a tick step above 1 is a gap.
+def _log_from_plan(plan) -> list[TransitionRecord]:
+    """Records that follow share the previous next_state, equal ones copy it,
+    other ones start elsewhere; a tick step above 1 is a gap.  An entry may
+    add the record's energy and whether it made a prediction."""
     records, tick = [], 0
-    for pos, next_pos, feedback, link, step in plan:
+    for pos, next_pos, feedback, link, step, *more in plan:
+        energy, predicts = more or (0.0, False)
         if records and step == 1:
             last = records[-1].next_state
             state = {"follow": last, "equal": dataclasses.replace(last),
                      "other": make_state(pos=(last.feelings[0] + 1) % 4, tick=tick)}[link]
         else:
             state = make_state(pos=pos, tick=tick)
-        records.append(TransitionRecord(tick, state, (False, False), None, feedback, 0.0,
+        predicted = make_state(pos=pos, tick=tick + 1) if predicts else None
+        records.append(TransitionRecord(tick, state, (False, False), predicted, feedback, energy,
                                         make_state(pos=next_pos, hunger=abs(feedback), tick=tick + 1)))
         tick += step
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_RECORDS, window_size=st.integers(1, 3),
+       strategy=st.sampled_from((STRATEGY_SEGMENT, STRATEGY_TRANSITION_MAP)))
+def test_the_driver_learns_any_log_as_the_reference_walk(plan, window_size, strategy):
+    records = _log_from_plan(plan)
     params = make_params(step=0.5)
     rebuilt = rebuild_from_log(records, params, strategy, window_size).to_tables()
     assert tables_equal(rebuilt, _reference_tables(records, params, strategy, window_size)) == []
+
+
+_CREDITED = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.integers(0, 3), st.sampled_from((0.0, 0.0, 1.0, -1.0)),
+        st.sampled_from(("follow", "follow", "equal", "other")), st.integers(1, 3),
+        st.sampled_from((0.0, 1.0)), st.booleans(),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_CREDITED, window_size=st.integers(1, 3),
+       strategy=st.sampled_from((STRATEGY_SEGMENT, STRATEGY_TRANSITION_MAP)))
+def test_segment_credit_on_learned_windows_equals_segment_local_credit(plan, window_size, strategy):
+    # Segments shorter than the window, gaps and equal-but-distinct states
+    # all occur; energy and prediction terms are on.
+    records = _log_from_plan(plan)
+    params = LearningParams(PriorityProfile(weights=(1.0, 0.0), energy_weight=0.5), 0.5, 0.25)
+    learned = rebuild_from_log(records, params, strategy, window_size).to_tables()
+    assert learned == _reference_tables(records, params, strategy, window_size)
+
+
+def test_the_driver_credits_through_the_module_global_with_its_learned_windows(monkeypatch):
+    calls = []
+    original = model_module.apply_global_feedback
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(model_module, "apply_global_feedback", counted)
+    driver = LearningDriver(TransitionModel(window_size=2), make_params(), STRATEGY_SEGMENT)
+    learned = []
+    for rec in _shared(_synthetic_log()):
+        driver.ingest(rec)
+        learned.append(driver._walk.learned)
+    assert [[rec.tick for rec in args[1].records] for args in calls] == [[0, 1, 2], [3, 4]]
+    assert [list(args[3]) for args in calls] == [learned[:3], learned[3:5]]
+
+
+@pytest.mark.parametrize("window_size, pushes", ((1, 302), (3, 438)))
+def test_a_default_run_pushes_one_window_per_tick(monkeypatch, window_size, pushes):
+    # One push per tick moves the walk to the next decision; two more start
+    # the run and the walk.  Window 3 rebuilds only the first two windows of
+    # each closed segment; window 1 rebuilds none.
+    count = [0]
+    push = HistoryWindow.push
+
+    def counted(self, state):
+        count[0] += 1
+        return push(self, state)
+
+    monkeypatch.setattr(HistoryWindow, "push", counted)
+    run(RunConfig(seed=0, ticks=300, window_size=window_size))
+    assert count[0] == pushes
 
 
 def test_the_driver_window_starts_afresh_after_a_gap():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import eq
 from random import Random
 
 import pytest
@@ -258,6 +259,43 @@ def test_feedback_is_the_event_sequence_shifted_by_the_delay(delay, seed, action
     outcomes = [env.step(action) for action in actions]
     events = [values[o.event] for o in outcomes]
     assert [o.feedback for o in outcomes] == ([0.0] * delay + events)[: len(actions)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levels=st.integers(min_value=1, max_value=20),
+    other=st.integers(min_value=1, max_value=19),
+    delay=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+    plan=st.lists(
+        st.tuples(st.sampled_from((STAY, LEFT, RIGHT)), st.booleans(), st.floats(-0.5, 1.5)),
+        max_size=80,
+    ),
+)
+def test_need_levels_are_the_raw_channels_quantized(levels, other, delay, seed, plan):
+    # Two environments with different levels step side by side; each state's
+    # needs are its own levels of the raw channels recomputed here.
+    other_levels = (levels + other - 1) % 20 + 1
+    envs = [PingPong(BoardConfig(feedback_delay=delay, need_levels=n)) for n in (levels, other_levels)]
+    states = [env.reset(seed) for env in envs]
+    for state, n in zip(states, (levels, other_levels)):
+        assert state.needs == (quantize(0.0, n), quantize(0.0, n), quantize(1.0, n), quantize(1.0, n))
+    since_hit, sad = 0, 0.0
+    for action, predicts, fresh in plan:
+        outcomes = [env.step(action, predicted=state if predicts else None, novelty=lambda key: fresh)
+                    for env, state in zip(envs, states)]
+        feedback = outcomes[0].feedback
+        since_hit = 0 if feedback > 0 else since_hit + 1
+        sad = 1.0 if feedback < 0 else sad * SAD_DECAY_FACTOR
+        new = outcomes[0].state
+        similarity = 0.0
+        if predicts:
+            matches = sum(map(eq, states[0].feelings, new.feelings)) + sum(map(eq, states[0].actions, new.actions))
+            similarity = matches / (len(new.feelings) + len(new.actions))
+        raw = (min(1.0, HAPPY_GROWTH_PER_TICK * since_hit), sad, min(1.0, max(0.0, fresh)), 1.0 - similarity)
+        for outcome, n in zip(outcomes, (levels, other_levels)):
+            assert outcome.state.needs == tuple(quantize(value, n) for value in raw)
+        states = [outcome.state for outcome in outcomes]
 
 
 def test_novelty_reads_one_without_a_callable():
