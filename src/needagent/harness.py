@@ -1,4 +1,5 @@
-"""Run harness: configuration, the sense-decide-act-learn loop, metrics, sweeps.
+"""Run harness: configuration, the sense-decide-act-learn loop, garbage
+collection, metrics, sweeps.
 
 A run is fully determined by its configuration (including the seed): the
 environment, exploration and learning all draw from streams derived from it.
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import statistics
 from bisect import bisect_left
 from collections import deque
@@ -32,7 +32,6 @@ from needagent.memory import (
     TransitionRecord,
     atomic_writer,
     collector_paused,
-    garbage_collect,
 )
 from needagent.model import (
     LearningDriver,
@@ -252,6 +251,7 @@ def run(config: RunConfig) -> RunResult:
     recent_hits = 0  # the hits among recent_events
     rolling = 0.0
     trusted_below = 0  # GC frontier: every record before this tick is trusted for good
+    gc_interval = config.gc_interval if config.gc_horizon is not None else 0  # 0: no GC
 
     for tick in range(config.ticks):
         decision = decide(model, window, constraints, policy, rng)
@@ -280,11 +280,7 @@ def run(config: RunConfig) -> RunResult:
 
         state = outcome.state
         window = driver.window
-        if (
-            config.gc_horizon is not None
-            and config.gc_interval > 0
-            and (tick + 1) % config.gc_interval == 0
-        ):
+        if gc_interval and (tick + 1) % gc_interval == 0:
             log, trusted_below = run_garbage_collection(log, model, config, trusted_below)
 
     return RunResult(config=config, schema=schema, log=log, model=model, metrics=metrics)
@@ -323,15 +319,27 @@ def run_garbage_collection(
     counts = evidence_by_tick(records[max(0, start - model.window_size + 1):], model)
     untrusted = (rec.tick for rec in records[start:] if counts[rec.tick] < config.gc_min_trust)
     frontier = next(untrusted, records[-1].tick + 1 if records else trusted_below)
-    horizon = math.inf if config.gc_horizon is None else config.gc_horizon
-    collected = garbage_collect(
-        log,
-        retention_horizon=horizon,
-        min_trust=config.gc_min_trust,
-        evidence=lambda rec: counts[rec.tick],
-        trusted_below=trusted_below,
-    )
-    return collected, frontier
+    return garbage_collect(log, counts, config, start), frontier
+
+
+def garbage_collect(log: EpisodeLog, counts: dict[int, int], config: RunConfig, start: int) -> EpisodeLog:
+    """Forget old records whose transitions the model does not yet trust.
+
+    A record is removed when all three hold: it lies outside the retention
+    horizon (``latest_tick - tick >= gc.horizon``), its evidence in ``counts``
+    is below ``gc.min_trust``, and it is not part of the open segment (the
+    records after the last explicit feedback, which global credit still
+    needs).  The first ``start`` records are kept without a lookup.  Model
+    tables are never touched.  Returns a new log; the input is left intact.
+    """
+    records = log.records
+    latest = records[-1].tick if records else 0
+    last_feedback = next((rec.tick for rec in reversed(records) if rec.reinforcement_observed), -1)
+    return EpisodeLog([*records[:start], *(
+        rec for rec in records[start:]
+        if latest - rec.tick < config.gc_horizon or rec.tick > last_feedback
+        or counts[rec.tick] >= config.gc_min_trust
+    )])
 
 
 # ======================================================================

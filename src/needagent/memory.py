@@ -4,8 +4,9 @@ The log is the ground truth of a run.  Each record captures one completed
 transition: the state the agent was in, what it chose, what it expected, what
 feedback arrived and where it ended up.  Segments slice the log between
 explicit feedback events; the history window exposes the recent past to the
-learner; garbage collection forgets old, untrusted records; snapshots persist
-log and world model together in a canonical JSON form.
+learner; snapshots persist log and world model together in a canonical JSON
+form.  Garbage collection, which forgets old, untrusted records, lives in
+:mod:`needagent.harness`, beside the model it asks for evidence.
 
 Only the harness writes the log, and only by appending.  Records are frozen
 values, so anything handed out stays bytewise stable.
@@ -17,12 +18,10 @@ import gc
 import json
 import math
 import os
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from needagent.core import FeelingVar, StateSchema, StateVector, UsageError, state_key
 from needagent.fields import FieldError, entries, items, number, optional, read, table, valid
@@ -165,8 +164,8 @@ class EpisodeLog:
     """Append-only sequence of transition records with ascending ticks.
 
     Appends must continue the last tick.  Garbage collection removes records
-    from anywhere but the open tail, so a run with periodic GC has a log with
-    tick gaps, and so does a snapshot of it.
+    from anywhere but the open segment, so a run with periodic GC has a log
+    with tick gaps, and so does a snapshot of it.
     """
 
     def __init__(self, records: Iterable[TransitionRecord] = ()) -> None:
@@ -191,47 +190,6 @@ class EpisodeLog:
 
     def __iter__(self) -> Iterator[TransitionRecord]:
         return iter(self._records)
-
-    def open_tail(self) -> tuple[TransitionRecord, ...]:
-        """Records after the last explicit feedback event (possibly empty)."""
-        tail: list[TransitionRecord] = []
-        for rec in reversed(self._records):
-            if rec.reinforcement_observed != 0:
-                break
-            tail.append(rec)
-        return tuple(reversed(tail))
-
-
-def garbage_collect(
-    log: EpisodeLog,
-    retention_horizon: float,
-    min_trust: int,
-    evidence: Callable[[TransitionRecord], int],
-    trusted_below: int = 0,
-) -> EpisodeLog:
-    """Forget old records whose transitions the model does not yet trust.
-
-    A record is removed when all three hold: it lies outside the retention
-    horizon (``latest_tick - tick >= retention_horizon``), its transition has
-    model evidence below ``min_trust``, and it is not part of the open
-    segment.  Model tables are never touched; an infinite horizon disables
-    collection entirely.  Returns a new log; the input is left intact.
-
-    Records with a tick below ``trusted_below`` are kept without asking
-    ``evidence``: the caller has proven them trusted for good.
-    """
-    records = log._records
-    if not records or retention_horizon == math.inf:
-        return EpisodeLog(records)
-    start = bisect_left(records, trusted_below, key=attrgetter("tick"))
-    latest = records[-1].tick
-    protected = {rec.tick for rec in log.open_tail()}
-    survivors = records[:start]
-    for rec in records[start:]:
-        old = latest - rec.tick >= retention_horizon
-        if rec.tick in protected or not old or evidence(rec) >= min_trust:
-            survivors.append(rec)
-    return EpisodeLog(survivors)
 
 
 # ======================================================================

@@ -70,6 +70,10 @@ class BoardConfig:
                 raise SchemaError(f"board.{name} must be >= {low}, got {getattr(self, name)}")
         if not 1 <= self.racket_width <= self.width:
             raise SchemaError(f"board.racket_width must be in [1, {self.width}], got {self.racket_width}")
+        try:
+            float(self.need_levels)  # quantize scales by it as a float
+        except OverflowError:
+            raise SchemaError("board.need_levels is too large to convert to a float") from None
 
     @property
     def racket_positions(self) -> int:

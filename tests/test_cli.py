@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -544,3 +545,45 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert "baseline hit_rate=" in proc.stdout
+
+
+# ----------------------------------------------------------------------
+# need levels at the edge of float range
+# ----------------------------------------------------------------------
+
+
+def _command(name, tmp_path, config, profiles_path):
+    return {
+        "run": ["run", "--config", config, "--out", str(tmp_path / "out")],
+        "sweep": ["sweep", "--config", config, "--profiles", profiles_path,
+                  "--seeds", "0", "--out", str(tmp_path / "out")],
+        "baseline": ["baseline", "--config", config, "--ticks", "50"],
+    }[name]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+@pytest.mark.parametrize("levels", [2**1024, 10**400], ids=["2**1024", "401-digits"])
+def test_need_levels_beyond_float_range_are_a_config_error(tmp_path, profiles_path, capsys, command, levels):
+    # quantize scales by the level count as a float, which would overflow.
+    config = write_json(tmp_path / "config.json", {"ticks": 20, "board": {"need_levels": levels}})
+    assert main(_command(command, tmp_path, config, profiles_path)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: board.need_levels")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "levels, snapshot_sha256",
+    [
+        (10**308, "a1ce75c36368278f4f74485de7f734d12eb8a9bd01625ffb131d8d6daf9e5294"),
+        (int(sys.float_info.max) + 1, "a895d03fb83ea92769d48bbc37114e32f9fea2ac49b4fb31e3d781703e332287"),
+    ],
+    ids=["10**308", "float-max-plus-1"],
+)
+def test_need_levels_within_float_range_still_run(tmp_path, levels, snapshot_sha256):
+    config = write_json(tmp_path / "config.json", {"ticks": 200, "board": {"need_levels": levels}})
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest("metrics.csv") == "a62e11420c2d3e21af12b5e1fc6f05f305b3488bafb264e6660d302d521a9df9"
+    assert digest("snapshot.json") == snapshot_sha256

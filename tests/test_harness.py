@@ -298,14 +298,14 @@ def test_run_garbage_collection_applies_the_retention_rule():
     counts = evidence_by_tick(result.log, result.model)
     collected, _ = run_garbage_collection(result.log, result.model, config, 0)
     kept = {rec.tick for rec in collected.records}
-    protected = {rec.tick for rec in result.log.open_tail()}
+    last_feedback = max(rec.tick for rec in result.log if rec.reinforcement_observed)
     latest = result.log.records[-1].tick
     removed_any = False
     for rec in result.log:
         removable = (
             latest - rec.tick >= 30.0
             and counts[rec.tick] < 3
-            and rec.tick not in protected
+            and rec.tick <= last_feedback  # the open segment follows the last feedback
         )
         assert (rec.tick not in kept) == removable
         removed_any = removed_any or removable
@@ -358,6 +358,26 @@ def test_trusted_frontier_gc_matches_a_full_rescan(
         patch.setattr(harness, "run_garbage_collection", _full_rescan)
         reference = _outputs(config)
     assert _outputs(config) == reference
+
+
+def test_trusted_frontier_saves_evidence_lookups(monkeypatch):
+    # The outputs are the same with or without the frontier, so only a census
+    # of the records looked up shows that it still saves work.
+    def census():
+        scanned = []
+
+        def counted(records, model, _original=evidence_by_tick):
+            records = list(records)
+            scanned.append(len(records))
+            return _original(records, model)
+
+        monkeypatch.setattr(harness, "evidence_by_tick", counted)
+        run(RunConfig(seed=0, ticks=3000, gc_horizon=200.0, gc_interval=100, gc_min_trust=40))
+        return len(scanned), sum(scanned)
+
+    assert census() == (30, 8950)
+    monkeypatch.setattr(harness, "run_garbage_collection", _full_rescan)
+    assert census() == (30, 10419)
 
 
 def test_run_with_periodic_gc_produces_a_gapped_but_ordered_log():

@@ -28,7 +28,6 @@ from needagent.memory import (
     TransitionRecord,
     atomic_writer,
     dumps_snapshot,
-    garbage_collect,
     load_snapshot,
     loads_snapshot,
     save_snapshot,
@@ -146,15 +145,6 @@ def test_log_rejects_negative_ticks():
         EpisodeLog().append(rec)
 
 
-def test_open_tail_holds_the_records_after_the_last_feedback():
-    log = EpisodeLog()
-    for tick, fb in enumerate((0.0, 1.0, 0.0, 0.0, -1.0, 0.0)):
-        log.append(make_record(tick, feedback=fb))
-    assert [r.tick for r in log.open_tail()] == [5]
-    log.append(make_record(6, feedback=1.0))
-    assert log.open_tail() == ()
-
-
 def test_closed_segment_requires_a_matching_terminal():
     rec = make_record(0, feedback=1.0)
     with pytest.raises(UsageError):
@@ -185,38 +175,55 @@ def _feedback_at_five() -> EpisodeLog:
     return log
 
 
+def _collect(log, horizon, min_trust, evidence, start=0):
+    """``harness.garbage_collect`` with the evidence of each tick from ``evidence(tick)``."""
+    counts = {rec.tick: evidence(rec.tick) for rec in log.records[start:]}
+    config = harness.RunConfig(gc_horizon=horizon, gc_min_trust=min_trust)
+    return harness.garbage_collect(log, counts, config, start)
+
+
 def test_gc_removes_old_untrusted_records():
     log = _feedback_at_five()
-    out = garbage_collect(
-        log,
-        retention_horizon=4.0,
-        min_trust=1,
-        evidence=lambda rec: 2 if rec.tick % 2 == 0 else 0,
-    )
-    # Ticks 6..9 form the open tail; of the old ticks 0..5 only the
+    out = _collect(log, 4.0, 1, lambda tick: 2 if tick % 2 == 0 else 0)
+    # Ticks 6..9 form the open segment; of the old ticks 0..5 only the
     # even-evidence ones survive.
     assert [r.tick for r in out.records] == [0, 2, 4, 6, 7, 8, 9]
     assert len(log) == 10  # the input log is untouched
 
 
 def test_gc_horizon_zero_keeps_only_the_open_tail():
-    out = garbage_collect(_feedback_at_five(), 0.0, 1, lambda rec: 0)
+    out = _collect(_feedback_at_five(), 0.0, 1, lambda tick: 0)
     assert [r.tick for r in out.records] == [6, 7, 8, 9]
 
 
+def test_gc_keeps_the_records_after_the_last_feedback():
+    log = EpisodeLog()
+    for tick, fb in enumerate((0.0, 1.0, 0.0, 0.0, -1.0, 0.0)):
+        log.append(make_record(tick, feedback=fb))
+    assert [r.tick for r in _collect(log, 0.0, 1, lambda tick: 0).records] == [5]
+    log.append(make_record(6, feedback=1.0))
+    assert len(_collect(log, 0.0, 1, lambda tick: 0)) == 0
+
+
 def test_gc_keeps_trusted_records_regardless_of_age():
-    out = garbage_collect(_feedback_at_five(), 0.0, 1, lambda rec: 5)
+    out = _collect(_feedback_at_five(), 0.0, 1, lambda tick: 5)
     assert len(out) == 10
 
 
 def test_gc_infinite_horizon_collects_nothing():
     log = _feedback_at_five()
-    out = garbage_collect(log, math.inf, 99, lambda rec: 0)
+    out = _collect(log, math.inf, 99, lambda tick: 0)
     assert out.records == log.records
 
 
 def test_gc_on_an_empty_log():
-    assert len(garbage_collect(EpisodeLog(), 0.0, 1, lambda rec: 0)) == 0
+    assert len(_collect(EpisodeLog(), 0.0, 1, lambda tick: 0)) == 0
+
+
+def test_gc_keeps_the_records_before_start_without_a_lookup():
+    # ``counts`` holds no tick below 3, so a lookup there would raise KeyError.
+    out = _collect(_feedback_at_five(), 0.0, 1, lambda tick: 0, start=3)
+    assert [r.tick for r in out.records] == [0, 1, 2, 6, 7, 8, 9]
 
 
 # ----------------------------------------------------------------------
