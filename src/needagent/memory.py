@@ -18,9 +18,11 @@ import gc
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from needagent.core import FeelingVar, StateSchema, StateVector, UsageError, state_key
@@ -281,12 +283,13 @@ def _reject_constant(token: str):
 # One table of rows per snapshot object, as for the config.  Numbers are kept
 # as written, so a loaded snapshot re-encodes to the same bytes.
 _INTEGER, _NUMBER, _ACTION_CODES = number(int), number(float), items(number(int, 0, 1))
+_NUMBER_TYPES, _INTS, _BITS, _FLOAT_MAX = (int, float), frozenset((int,)), frozenset((0, 1)), sys.float_info.max
 _STRING = valid(lambda value: isinstance(value, str), "expected a string")
 
 
 def _signed(levels) -> bool:
     """True if a level has a minus sign, as ``-0.0`` does; checked in C."""
-    return -1.0 in [*map(math.copysign, repeat(1.0), levels)]
+    return -1.0 in map(math.copysign, repeat(1.0), levels)
 
 
 def _level(value):
@@ -299,6 +302,23 @@ def _level(value):
 _level.every = lambda values: _NUMBER.every(values) and not _signed(values)
 _STATE = (("f", "f", items(_INTEGER)), ("a", "a", _ACTION_CODES), ("y", "y", items(_level)),
           ("tick", "tick", _INTEGER))
+_STATE_KEYS, _fayt = frozenset(row[0] for row in _STATE), itemgetter("f", "a", "y", "tick")
+
+
+def _every_state(values) -> bool:
+    """True only if every value would pass the state table; types are checked in C before any set or sum."""
+    for value in values:
+        if type(value) is not dict or value.keys() != _STATE_KEYS:
+            return False
+        f, a, y, tick = _fayt(value)
+        if not (type(f) is type(a) is type(y) is list and type(tick) is int and _INTS.issuperset(map(type, f))
+                and _INTS.issuperset(map(type, a)) and _BITS.issuperset(a) and _level.every(y)):
+            return False
+    return True
+
+
+_STATE_VALUE = table(_STATE, required=True)
+_STATE_VALUE.every = _every_state
 _FEELING = table((("name", "name", _STRING), ("cardinality", "cardinality", _INTEGER)), FeelingVar, True)
 _SCHEMA = table(
     (("feelings", "feelings", items(_FEELING)), ("actions", "actions", items(_STRING)),
@@ -313,7 +333,7 @@ _MODEL = table((
     ("successor_keying", "successor_keying", _STRING),
     ("utility", "utility", entries(entries(_NUMBER))),
     ("evidence", "evidence", entries(entries(_INTEGER))),
-    ("successors", "successors", entries(entries(table(_STATE, required=True)))),
+    ("successors", "successors", entries(entries(_STATE_VALUE))),
     ("state_seen", "state_seen", entries(_INTEGER)),
 ))
 _SNAPSHOT = table((
@@ -353,6 +373,58 @@ def _log(schema: StateSchema):
     ), TransitionRecord, True))
 
 
+_RECORD_FIELDS = ("tick", "state", "chosen_action", "predicted_next", "reinforcement", "energy", "next_state")
+_RECORD_KEYS, _record = frozenset(_RECORD_FIELDS), itemgetter(*_RECORD_FIELDS)
+
+
+def _straight_log(schema: StateSchema, log) -> list[TransitionRecord] | None:
+    """The records of a log in the shape ``dumps_snapshot`` writes, read in one pass, or None at the first
+    value outside it, leaving the log to the row walk of :func:`_log`, which names the bad field.  A record
+    has the record keys, an integer tick above the last one's (from 0) and finite numbers.  A state's tick,
+    codes and levels have the types ``[int] * (1 + feelings + actions) + [float] * needs``, so ``==`` on two
+    of them compares the types too, and states are shared by the row walk's rule."""
+    if type(log) is not list:
+        return None
+    pattern = [int] * (1 + len(schema.feelings) + len(schema.actions)) + [float] * len(schema.needs)
+    seen = {}  # tick -> the value read last at that tick, and its state
+
+    def state(value) -> StateVector | None:
+        if type(value) is not dict or value.keys() != _STATE_KEYS:
+            return None
+        f, a, y, tick = _fayt(value)
+        if (not type(f) is type(a) is type(y) is list or [type(tick), *map(type, f + a + y)] != pattern
+                or _signed(y)):
+            return None
+        earlier = seen.get(tick)
+        if earlier is not None and value == earlier[0]:
+            return earlier[1]
+        if not _BITS.issuperset(a):
+            return None
+        try:  # the schema's range checks
+            built = StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
+        except ValueError:
+            return None
+        seen[tick] = value, built
+        return built
+
+    records, last = [], -1
+    for value in log:
+        if type(value) is not dict or value.keys() != _RECORD_KEYS:
+            return None
+        tick, now, chosen, predicted, feedback, energy, after = _record(value)
+        if not (type(tick) is int and tick > last and type(chosen) is list and _INTS.issuperset(map(type, chosen))
+                and _BITS.issuperset(chosen) and type(feedback) in _NUMBER_TYPES and abs(feedback) <= _FLOAT_MAX
+                and type(energy) in _NUMBER_TYPES and abs(energy) <= _FLOAT_MAX):
+            return None
+        # In the row walk's order, which decides what is shared: a prediction is read before the next state.
+        if ((now := state(now)) is None or predicted is not None and (predicted := state(predicted)) is None
+                or (after := state(after)) is None):
+            return None
+        records.append(TransitionRecord(tick, now, tuple(map(bool, chosen)), predicted, feedback, energy, after))
+        last = tick
+    return records
+
+
 @collector_paused()
 def loads_snapshot(text: str) -> MemorySnapshot:
     try:
@@ -364,10 +436,11 @@ def loads_snapshot(text: str) -> MemorySnapshot:
         raise SnapshotVersionError(
             f"version: snapshot version {values['version']} is newer than supported {SNAPSHOT_VERSION}"
         )
-    records = read(_log(values["schema"]), values["log"], SnapshotError, "log")
-    for i in range(1, len(records)):
-        if records[i].tick <= records[i - 1].tick:
-            raise SnapshotError(f"log[{i}].tick: {records[i].tick} does not increase")
+    if (records := _straight_log(values["schema"], values["log"])) is None:
+        records = read(_log(values["schema"]), values["log"], SnapshotError, "log")
+        for i in range(1, len(records)):
+            if records[i].tick <= records[i - 1].tick:
+                raise SnapshotError(f"log[{i}].tick: {records[i].tick} does not increase")
     values["log"] = EpisodeLog(records)
     return MemorySnapshot(**values)
 

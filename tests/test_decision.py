@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import operator
 from random import Random
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from needagent.core import (
     ConstraintMatrices,
     FeelingVar,
+    SchemaError,
     StateSchema,
     StateVector,
     check_constraints,
@@ -128,6 +131,51 @@ def test_action_candidates_match_a_brute_force_constraint_filter(exclusion, depe
         if check_constraints(StateVector(_WIDE, (0,), bits, (0.0, 0.0)), inside)
     ]
     assert action_candidates(_WIDE, constraints) == expected
+
+
+@settings(max_examples=200)
+@given(
+    exclusion=st.lists(_pairs, max_size=4),
+    dependency=st.lists(_pairs, max_size=4),
+    inside_only=st.booleans(),
+    pos=st.integers(0, 2),
+    bits=st.tuples(*[st.booleans()] * 4),
+    needs=st.tuples(*[st.sampled_from((0.0, 0.5))] * 2),
+)
+def test_the_legal_set_agrees_with_check_constraints(exclusion, dependency, inside_only, pos, bits, needs):
+    if inside_only:
+        exclusion = [p for p in exclusion if set(p) <= _WIDE_ACTIONS]
+        dependency = [p for p in dependency if set(p) <= _WIDE_ACTIONS]
+    exclusion = {(min(p), max(p)) for p in exclusion}
+    dependency = {p for p in dependency if (min(p), max(p)) not in exclusion}
+    constraints = ConstraintMatrices.build(_WIDE.width, exclusion, dependency)
+    candidates, legal = decision._legality(_WIDE, constraints)
+    assert candidates == tuple(action_candidates(_WIDE, constraints))
+    if not all(set(p) <= _WIDE_ACTIONS for p in exclusion | dependency):
+        assert legal is None  # a pair that reads a feeling or a need keeps check_constraints
+        return
+    state = StateVector(_WIDE, (pos,), bits, needs)
+    assert (state.actions in legal) == check_constraints(state, constraints)
+
+
+def test_legality_is_kept_for_the_last_schema_and_constraints_by_identity(monkeypatch):
+    first = decision._legality(SCHEMA, ConstraintMatrices.build(6, exclusion=[(2, 3)]))
+    # Equal values as other objects, as the next run of a sweep passes them.
+    schema, constraints = dataclasses.replace(SCHEMA), ConstraintMatrices.build(6, exclusion=[(2, 3)])
+    legality = decision._legality(schema, constraints)
+    assert legality == first == (((False, False), (False, True), (True, False)), set(first[0]))
+    for kind in (StateSchema, ConstraintMatrices):  # a later tick compares no schema and no constraints
+        monkeypatch.setattr(kind, "__eq__", lambda self, other: 1 / 0)
+    assert all(map(operator.is_, decision._legality(schema, constraints), legality))
+
+
+def test_a_width_mismatch_is_an_error_only_when_a_prospect_is_checked():
+    model, window = observed_model([(make_state(go=True), 1.0, 1)])
+    narrow = ConstraintMatrices.empty(SCHEMA.width - 1)
+    with pytest.raises(SchemaError, match="constraints sized for 5 variables, state has 6"):
+        decide(model, window, narrow, exploit_policy(MODE_PROSPECTED), Random(0))
+    unknown = HistoryWindow(1).push(make_state(pos=1))
+    assert decide(model, unknown, narrow, exploit_policy(MODE_PROSPECTED), Random(0)).explored
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,10 @@ from needagent.harness import (
     snapshot_from_run,
     verify_snapshot,
 )
+from needagent import memory
 from needagent.memory import SnapshotError, dumps_snapshot, loads_snapshot
+
+from conftest import row_walk, sharing
 
 # Any JSON value, NaN and the infinities included: ``json.load`` accepts
 # them in config files, and they reach ``loads_snapshot`` as bare tokens.
@@ -125,6 +128,24 @@ def test_snapshot_fields_raise_only_snapshot_errors(payload):
         verify_snapshot(loads_snapshot(text))
     except (ConfigError, SnapshotError):
         pass
+
+
+def _loaded(text):
+    """The records a snapshot loads to, with the objects they share, or its error message."""
+    try:
+        records = loads_snapshot(text).log.records
+    except SnapshotError as exc:
+        return str(exc)
+    return records, [json.dumps(memory.record_to_dict(r)) for r in records], sharing(records)
+
+
+@settings(_FUZZ, max_examples=300)
+@given(payload=mutations(_SNAPSHOT))
+def test_the_straight_pass_loads_what_the_row_walk_loads(payload):
+    text = json.dumps(payload)
+    straight = _loaded(text)
+    with row_walk():
+        assert _loaded(text) == straight
 
 
 def test_the_unmutated_snapshot_verifies():

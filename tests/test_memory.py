@@ -10,7 +10,7 @@ import os
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from needagent import harness, memory
@@ -33,7 +33,7 @@ from needagent.memory import (
     save_snapshot,
 )
 
-from conftest import SCHEMA, make_state
+from conftest import SCHEMA, make_state, row_walk, sharing, straight_only
 
 
 def make_record(
@@ -431,6 +431,58 @@ def test_loads_snapshot_requires_integer_ticks():
     with pytest.raises(SnapshotError) as err:
         loads_snapshot(json.dumps(payload))
     assert "log[1].tick: expected an integer" in str(err.value)
+
+
+@pytest.mark.parametrize("field,message", [
+    ("bogus", "log[2].bogus: unknown field"),
+    ("next_state.bogus", "log[2].next_state.bogus: unknown field"),
+    ("predicted_next", "log[2].predicted_next: missing"),  # null, but not optional
+])
+def test_loads_snapshot_names_a_missing_or_unknown_log_field(field, message):
+    payload = json.loads(dumps_snapshot(make_snapshot()))
+    *steps, key = field.split(".")
+    target = payload["log"][2]
+    for step in steps:
+        target = target[step]
+    if key in target:
+        del target[key]
+    else:
+        target[key] = 0
+    with pytest.raises(SnapshotError) as err:
+        loads_snapshot(_canonical(payload))
+    assert str(err.value) == message
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    window=st.integers(1, 3),
+    weight=st.sampled_from((0.0, 0.5)),
+    collection=st.fixed_dictionaries(
+        {"horizon": st.integers(10, 40), "interval": st.integers(10, 30), "min_trust": st.integers(1, 6)}),
+)
+def test_the_straight_pass_reads_a_run_as_the_row_walk_does(seed, window, weight, collection):
+    config = {"seed": seed, "ticks": 150, "window_size": window, "board": {"feedback_delay": 1},
+              "learning": {"predictability_weight": weight}, "gc": collection}
+    text = dumps_snapshot(harness.snapshot_from_run(harness.run(harness.config_from_dict(config))))
+    with straight_only():
+        straight = loads_snapshot(text)
+    with row_walk():
+        walked = loads_snapshot(text).log.records
+    assume({type(r.energy) for r in walked} == {int, float})  # idle records write the integer 0
+    assert straight.log.records == walked
+    assert sharing(straight.log.records) == sharing(walked)
+    assert dumps_snapshot(straight) == text
+
+
+def test_a_canonical_snapshot_loads_without_the_row_walk():
+    config = harness.config_from_dict({"window_size": 3, "board": {"feedback_delay": 2}, "ticks": 2000})
+    text = dumps_snapshot(harness.snapshot_from_run(harness.run(config)))
+    with straight_only():
+        records = loads_snapshot(text).log.records
+    assert len(records) == 2000
+    states = {id(s) for r in records for s in (r.state, r.predicted_next, r.next_state)} - {id(None)}
+    assert len(states) == 2001  # one state per tick, as in the live run
 
 
 def test_atomic_writer_replaces_the_file_only_when_complete(tmp_path):
