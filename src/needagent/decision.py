@@ -96,22 +96,17 @@ def action_candidates(
     return candidates
 
 
-_last: tuple = (None, None, (), None)  # the schema and constraints ``decide`` saw last, with their legality
+_last: tuple = (None, None, ())  # the schema and constraints ``decide`` explored with last, and their actions
 
 
-def _legality(schema: StateSchema, constraints: ConstraintMatrices) -> tuple[tuple, frozenset | None]:
-    """The legal action vectors, and the same as a set if every constraint pair lies inside the action
-    partition, so that a state of ``schema`` is legal exactly when its actions are in it (else None).
-    Only the last pair is kept, by identity: a run passes the same two objects on every tick, and
-    hashing or comparing a schema to look them up would cost about as much as the set saves."""
+def _legal_actions(schema: StateSchema, constraints: ConstraintMatrices) -> tuple:
+    """The legal action vectors, as a tuple no caller can change.  Only the last pair is kept, by
+    identity: a run passes the same two objects on every tick, so no schema is hashed to look it up."""
     global _last
     last = _last  # read once: the tuple is replaced whole, never changed
     if last[0] is not schema or last[1] is not constraints:
-        inside = constraints.size == schema.width and constraints.within(
-            range(len(schema.feelings), schema.width - len(schema.needs))) == constraints
-        candidates = tuple(action_candidates(schema, constraints))  # a tuple no caller can change
-        last = _last = schema, constraints, candidates, frozenset(candidates) if inside else None
-    return last[2:]
+        last = _last = schema, constraints, tuple(action_candidates(schema, constraints))
+    return last[2]
 
 
 def decide(
@@ -133,13 +128,10 @@ def decide(
     schema = history.states[-1].schema
     explore_draw = rng.random() < policy.exploration_rate
     prospects = predict_successors(model, history)
-    candidates, legal = _legality(schema, constraints)
-    if legal is None:
-        valid = [p for p in prospects if check_constraints(p.state, constraints)]
-    else:
-        valid = [p for p in prospects if p.state.actions in legal]
+    valid = [p for p in prospects if check_constraints(p.state, constraints)]
     order = _ORDER[policy.mode]
     if explore_draw or not valid:
+        candidates = _legal_actions(schema, constraints)
         chosen = candidates[rng.randrange(len(candidates))]
         expected = next((p for p in valid if p.state.actions == chosen), None)
         if expected is None:

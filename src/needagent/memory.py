@@ -305,20 +305,22 @@ _STATE = (("f", "f", items(_INTEGER)), ("a", "a", _ACTION_CODES), ("y", "y", ite
 _STATE_KEYS, _fayt = frozenset(row[0] for row in _STATE), itemgetter("f", "a", "y", "tick")
 
 
-def _every_state(values) -> bool:
-    """True only if every value would pass the state table; types are checked in C before any set or sum."""
-    for value in values:
-        if type(value) is not dict or value.keys() != _STATE_KEYS:
-            return False
-        f, a, y, tick = _fayt(value)
-        if not (type(f) is type(a) is type(y) is list and type(tick) is int and _INTS.issuperset(map(type, f))
-                and _INTS.issuperset(map(type, a)) and _BITS.issuperset(a) and _level.every(y)):
-            return False
-    return True
+def _canonical_state(value) -> tuple | None:
+    """``(f, a, y, tick)`` of a state in the shape ``dumps_snapshot`` writes, else None: the state keys,
+    integer codes and tick, 0/1 actions and float levels, none of them signed.  Any such value passes the
+    state table, and ``==`` on two of them compares the types too.  Types are checked in C before any set
+    or sum."""
+    if type(value) is not dict or value.keys() != _STATE_KEYS:
+        return None
+    parts = f, a, y, tick = _fayt(value)
+    if (type(f) is type(a) is type(y) is list and type(tick) is int and _INTS.issuperset(map(type, f + a))
+            and _BITS.issuperset(a) and _level.every(y)):
+        return parts
+    return None
 
 
 _STATE_VALUE = table(_STATE, required=True)
-_STATE_VALUE.every = _every_state
+_STATE_VALUE.every = lambda values: all(map(_canonical_state, values))
 _FEELING = table((("name", "name", _STRING), ("cardinality", "cardinality", _INTEGER)), FeelingVar, True)
 _SCHEMA = table(
     (("feelings", "feelings", items(_FEELING)), ("actions", "actions", items(_STRING)),
@@ -380,27 +382,20 @@ _RECORD_KEYS, _record = frozenset(_RECORD_FIELDS), itemgetter(*_RECORD_FIELDS)
 def _straight_log(schema: StateSchema, log) -> list[TransitionRecord] | None:
     """The records of a log in the shape ``dumps_snapshot`` writes, read in one pass, or None at the first
     value outside it, leaving the log to the row walk of :func:`_log`, which names the bad field.  A record
-    has the record keys, an integer tick above the last one's (from 0) and finite numbers.  A state's tick,
-    codes and levels have the types ``[int] * (1 + feelings + actions) + [float] * needs``, so ``==`` on two
-    of them compares the types too, and states are shared by the row walk's rule."""
+    has the record keys, an integer tick above the last one's (from 0) and finite numbers; its states are
+    canonical (:func:`_canonical_state`), so they are shared by the row walk's rule with a plain ``==``."""
     if type(log) is not list:
         return None
-    pattern = [int] * (1 + len(schema.feelings) + len(schema.actions)) + [float] * len(schema.needs)
     seen = {}  # tick -> the value read last at that tick, and its state
 
     def state(value) -> StateVector | None:
-        if type(value) is not dict or value.keys() != _STATE_KEYS:
+        if (parts := _canonical_state(value)) is None:
             return None
-        f, a, y, tick = _fayt(value)
-        if (not type(f) is type(a) is type(y) is list or [type(tick), *map(type, f + a + y)] != pattern
-                or _signed(y)):
-            return None
+        f, a, y, tick = parts
         earlier = seen.get(tick)
         if earlier is not None and value == earlier[0]:
             return earlier[1]
-        if not _BITS.issuperset(a):
-            return None
-        try:  # the schema's range checks
+        try:  # the schema's lengths and ranges
             built = StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
         except ValueError:
             return None

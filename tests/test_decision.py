@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import operator
 from random import Random
 
 import pytest
@@ -133,40 +132,16 @@ def test_action_candidates_match_a_brute_force_constraint_filter(exclusion, depe
     assert action_candidates(_WIDE, constraints) == expected
 
 
-@settings(max_examples=200)
-@given(
-    exclusion=st.lists(_pairs, max_size=4),
-    dependency=st.lists(_pairs, max_size=4),
-    inside_only=st.booleans(),
-    pos=st.integers(0, 2),
-    bits=st.tuples(*[st.booleans()] * 4),
-    needs=st.tuples(*[st.sampled_from((0.0, 0.5))] * 2),
-)
-def test_the_legal_set_agrees_with_check_constraints(exclusion, dependency, inside_only, pos, bits, needs):
-    if inside_only:
-        exclusion = [p for p in exclusion if set(p) <= _WIDE_ACTIONS]
-        dependency = [p for p in dependency if set(p) <= _WIDE_ACTIONS]
-    exclusion = {(min(p), max(p)) for p in exclusion}
-    dependency = {p for p in dependency if (min(p), max(p)) not in exclusion}
-    constraints = ConstraintMatrices.build(_WIDE.width, exclusion, dependency)
-    candidates, legal = decision._legality(_WIDE, constraints)
-    assert candidates == tuple(action_candidates(_WIDE, constraints))
-    if not all(set(p) <= _WIDE_ACTIONS for p in exclusion | dependency):
-        assert legal is None  # a pair that reads a feeling or a need keeps check_constraints
-        return
-    state = StateVector(_WIDE, (pos,), bits, needs)
-    assert (state.actions in legal) == check_constraints(state, constraints)
-
-
-def test_legality_is_kept_for_the_last_schema_and_constraints_by_identity(monkeypatch):
-    first = decision._legality(SCHEMA, ConstraintMatrices.build(6, exclusion=[(2, 3)]))
+def test_legal_actions_are_kept_for_the_last_schema_and_constraints_by_identity(monkeypatch):
+    first = decision._legal_actions(SCHEMA, ConstraintMatrices.build(6, exclusion=[(2, 3)]))
     # Equal values as other objects, as the next run of a sweep passes them.
     schema, constraints = dataclasses.replace(SCHEMA), ConstraintMatrices.build(6, exclusion=[(2, 3)])
-    legality = decision._legality(schema, constraints)
-    assert legality == first == (((False, False), (False, True), (True, False)), set(first[0]))
-    for kind in (StateSchema, ConstraintMatrices):  # a later tick compares no schema and no constraints
+    legal = decision._legal_actions(schema, constraints)
+    assert legal == first == ((False, False), (False, True), (True, False))
+    for kind in (StateSchema, ConstraintMatrices):  # a later tick hashes and compares neither
         monkeypatch.setattr(kind, "__eq__", lambda self, other: 1 / 0)
-    assert all(map(operator.is_, decision._legality(schema, constraints), legality))
+        monkeypatch.setattr(kind, "__hash__", lambda self: 1 / 0)
+    assert decision._legal_actions(schema, constraints) is legal
 
 
 def test_a_width_mismatch_is_an_error_only_when_a_prospect_is_checked():

@@ -139,13 +139,60 @@ def _loaded(text):
     return records, [json.dumps(memory.record_to_dict(r)) for r in records], sharing(records)
 
 
-@settings(_FUZZ, max_examples=300)
-@given(payload=mutations(_SNAPSHOT))
-def test_the_straight_pass_loads_what_the_row_walk_loads(payload):
+# What a near miss puts in place of a number: the same number as the other of int and float (a float
+# cut to an integer), one less (for a tick, the last record's), a boolean, a zero, a signed zero, and a
+# number too large for a float.
+_SWAPS = ("retyped", "less", True, 0, -0.0, 10**400)
+
+
+@st.composite
+def near_misses(draw, payload: dict) -> dict:
+    """``payload`` with one log record or one of its states just outside the canonical shape: a key added
+    or dropped, or a tick, code, level or other number swapped (see ``_SWAPS``).  Each change is as likely
+    as any other, so that a reader that accepts one of them is found within a few hundred examples."""
+    payload = copy.deepcopy(payload)
+    record = draw(st.sampled_from(payload["log"]))
+    state = draw(st.sampled_from([record[key] for key in ("state", "predicted_next", "next_state")
+                                  if record[key] is not None]))
+    target, key, swap = draw(st.sampled_from([
+        *((value, "bogus", 0) for value in (record, state)),
+        *((value, key, DELETE) for value in (record, state) for key in sorted(value)),
+        *((value, key, swap) for value in (record, state) for key in sorted(value)
+          if type(value[key]) in (int, float, list) for swap in _SWAPS),
+    ]))
+    if swap is DELETE:
+        del target[key]
+    elif key not in target:  # the unknown key
+        target[key] = swap
+    else:
+        if type(target[key]) is list:
+            target, key = target[key], draw(st.integers(0, len(target[key]) - 1))
+        value = target[key]
+        if swap == "retyped":
+            swap = int(value) if type(value) is float else float(value)
+        elif swap == "less":
+            swap = value - 1
+        target[key] = swap
+    return payload
+
+
+def _assert_both_readers_load(payload):
     text = json.dumps(payload)
     straight = _loaded(text)
     with row_walk():
         assert _loaded(text) == straight
+
+
+@settings(_FUZZ, max_examples=300)
+@given(payload=mutations(_SNAPSHOT))
+def test_the_straight_pass_loads_what_the_row_walk_loads(payload):
+    _assert_both_readers_load(payload)
+
+
+@settings(_FUZZ, max_examples=500)
+@given(payload=near_misses(_SNAPSHOT))
+def test_the_straight_pass_loads_near_misses_as_the_row_walk_does(payload):
+    _assert_both_readers_load(payload)
 
 
 def test_the_unmutated_snapshot_verifies():
