@@ -33,7 +33,7 @@ from needagent.harness import (
     verify_snapshot,
     write_metrics,
 )
-from needagent.memory import SnapshotError, atomic_writer, load_snapshot, save_snapshot
+from needagent.memory import SnapshotError, atomic_writer, dumps_snapshot, load_snapshot
 from needagent.pingpong import random_baseline
 from needagent.plot import write_svg
 
@@ -85,13 +85,18 @@ def _parse_seed_range(text: str) -> list[int]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed)
+    result = run(config)
+    try:  # before either file is written, so no run leaves metrics without a snapshot
+        snapshot = dumps_snapshot(snapshot_from_run(result))
+    except ValueError as exc:  # the snapshot holds a learned value that overflowed
+        raise ConfigError(f"profile.weights: too large, the learned values are not finite ({exc})") from exc
     out_dir = _resolve_out_dir(args.out, config)
     os.makedirs(out_dir, exist_ok=True)
-    result = run(config)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     snapshot_path = os.path.join(out_dir, "snapshot.json")
     write_metrics(result.metrics, metrics_path)
-    save_snapshot(snapshot_from_run(result), snapshot_path)
+    with atomic_writer(snapshot_path) as fh:
+        fh.write(snapshot)
     last = result.metrics[-1] if result.metrics else None
     hits = last.cumulative_hits if last else 0
     misses = last.cumulative_misses if last else 0

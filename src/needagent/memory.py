@@ -341,30 +341,42 @@ _MODEL = table((
 _SNAPSHOT = table((
     ("version", "version", _INTEGER),
     ("schema", "schema", _SCHEMA),
-    ("log", "log", lambda value: value),  # read by ``_log`` once the schema is known
+    ("log", "log", valid(lambda value: type(value) is list, "expected a list")),  # the records are read by ``_log``
     ("model", "model_tables", _MODEL),
     ("config", "config", valid(lambda value: isinstance(value, dict), "expected an object")),
     ("config_fingerprint", "config_fingerprint", _STRING),
 ), required=True)
 
 
+_RECORD_FIELDS = ("tick", "state", "chosen_action", "predicted_next", "reinforcement", "energy", "next_state")
+_RECORD_KEYS, _record = frozenset(_RECORD_FIELDS), itemgetter(*_RECORD_FIELDS)
+
+
 def _log(schema: StateSchema):
-    """Parser for the log, whose states are built on ``schema``.  A state whose value equals the one read
-    last at its tick, types included, is that same object, as in a live run: a record's state is the
-    previous one's next state, and a prediction is a stored successor."""
+    """Parser for a log's records, whose states are built on ``schema``, in one pass that names the first fault
+    in log order.  A record in the shape ``dumps_snapshot`` writes is read straight; the record table reads only
+    one it rejected, to name its first bad field.  A canonical state (:func:`_canonical_state`) that ``==`` the
+    one read last at its tick is that same object, as in a live run: a record's state is the previous one's next
+    state, and a prediction is a stored successor.  Any other state is read by the state table, never shared."""
     parse = table(_STATE, lambda f, a, y, tick: StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick),
                   True)
-    seen = {}  # tick -> the value read last at that tick, and its state
-    types = lambda value: [*map(type, value["f"] + value["a"] + value["y"])]
+    seen = {}  # tick -> the canonical value read last at that tick, and its state
 
     def state(value) -> StateVector:
-        tick = value.get("tick") if type(value) is dict else None
-        earlier = seen.get(tick) if type(tick) is int else None
-        if earlier is None or value != earlier[0] or types(value) != types(earlier[0]) or _signed(value["y"]):
-            earlier = seen[tick] = value, parse(value)
-        return earlier[1]
+        if (parts := _canonical_state(value)) is None:
+            return parse(value)
+        f, a, y, tick = parts
+        earlier = seen.get(tick)
+        if earlier is not None and value == earlier[0]:
+            return earlier[1]
+        try:  # the schema's lengths and ranges
+            built = StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
+        except ValueError as exc:
+            raise FieldError(str(exc)) from exc
+        seen[tick] = value, built
+        return built
 
-    return items(table((
+    row = table((
         ("tick", "tick", _INTEGER),
         ("state", "state", state),
         ("chosen_action", "chosen_action", lambda value: tuple(map(bool, _ACTION_CODES(value)))),
@@ -372,51 +384,35 @@ def _log(schema: StateSchema):
         ("reinforcement", "reinforcement_observed", _NUMBER),
         ("energy", "energy", _NUMBER),
         ("next_state", "next_state", state),
-    ), TransitionRecord, True))
+    ), TransitionRecord, True)
 
+    def records(log: list) -> list[TransitionRecord]:
+        out, last = [], -math.inf
+        for i, value in enumerate(log):
+            try:
+                rec = None
+                if type(value) is dict and value.keys() == _RECORD_KEYS:
+                    tick, now, chosen, predicted, feedback, energy, after = _record(value)
+                    if (type(tick) is int and type(chosen) is list and _INTS.issuperset(map(type, chosen))
+                            and _BITS.issuperset(chosen) and type(feedback) in _NUMBER_TYPES
+                            and type(energy) in _NUMBER_TYPES and max(abs(feedback), abs(energy)) <= _FLOAT_MAX):
+                        try:  # states in the table's order, which decides what is shared
+                            rec = TransitionRecord(tick, state(now), tuple(map(bool, chosen)),
+                                                   None if predicted is None else state(predicted), feedback,
+                                                   energy, state(after))
+                        except FieldError:
+                            pass
+                if rec is None:
+                    rec = row(value)  # raises the record's first bad field, named by its path
+                if rec.tick <= last:
+                    raise FieldError(f"{rec.tick} does not increase", ".tick")
+            except FieldError as exc:
+                exc.steps.append(f"[{i}]")
+                raise
+            out.append(rec)
+            last = rec.tick
+        return out
 
-_RECORD_FIELDS = ("tick", "state", "chosen_action", "predicted_next", "reinforcement", "energy", "next_state")
-_RECORD_KEYS, _record = frozenset(_RECORD_FIELDS), itemgetter(*_RECORD_FIELDS)
-
-
-def _straight_log(schema: StateSchema, log) -> list[TransitionRecord] | None:
-    """The records of a log in the shape ``dumps_snapshot`` writes, read in one pass, or None at the first
-    value outside it, leaving the log to the row walk of :func:`_log`, which names the bad field.  A record
-    has the record keys, an integer tick above the last one's (from 0) and finite numbers; its states are
-    canonical (:func:`_canonical_state`), so they are shared by the row walk's rule with a plain ``==``."""
-    if type(log) is not list:
-        return None
-    seen = {}  # tick -> the value read last at that tick, and its state
-
-    def state(value) -> StateVector | None:
-        if (parts := _canonical_state(value)) is None:
-            return None
-        f, a, y, tick = parts
-        earlier = seen.get(tick)
-        if earlier is not None and value == earlier[0]:
-            return earlier[1]
-        try:  # the schema's lengths and ranges
-            built = StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
-        except ValueError:
-            return None
-        seen[tick] = value, built
-        return built
-
-    records, last = [], -1
-    for value in log:
-        if type(value) is not dict or value.keys() != _RECORD_KEYS:
-            return None
-        tick, now, chosen, predicted, feedback, energy, after = _record(value)
-        if not (type(tick) is int and tick > last and type(chosen) is list and _INTS.issuperset(map(type, chosen))
-                and _BITS.issuperset(chosen) and type(feedback) in _NUMBER_TYPES and abs(feedback) <= _FLOAT_MAX
-                and type(energy) in _NUMBER_TYPES and abs(energy) <= _FLOAT_MAX):
-            return None
-        # In the row walk's order, which decides what is shared: a prediction is read before the next state.
-        if ((now := state(now)) is None or predicted is not None and (predicted := state(predicted)) is None
-                or (after := state(after)) is None):
-            return None
-        records.append(TransitionRecord(tick, now, tuple(map(bool, chosen)), predicted, feedback, energy, after))
-        last = tick
     return records
 
 
@@ -431,12 +427,7 @@ def loads_snapshot(text: str) -> MemorySnapshot:
         raise SnapshotVersionError(
             f"version: snapshot version {values['version']} is newer than supported {SNAPSHOT_VERSION}"
         )
-    if (records := _straight_log(values["schema"], values["log"])) is None:
-        records = read(_log(values["schema"]), values["log"], SnapshotError, "log")
-        for i in range(1, len(records)):
-            if records[i].tick <= records[i - 1].tick:
-                raise SnapshotError(f"log[{i}].tick: {records[i].tick} does not increase")
-    values["log"] = EpisodeLog(records)
+    values["log"] = EpisodeLog(read(_log(values["schema"]), values["log"], SnapshotError, "log"))
     return MemorySnapshot(**values)
 
 

@@ -1,5 +1,5 @@
-"""Shared test fixtures: a small synthetic schema, a state factory, and
-switches that make the snapshot log read by one of its two readers.
+"""Shared test fixtures: a small synthetic schema, a state factory, and the
+sharing map of a log's states.
 
 The schema is deliberately tiny (two feelings, two actions, two needs) so
 hand-computed oracles stay readable; environment tests build their own
@@ -9,11 +9,7 @@ schemas through the board helpers instead.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
-import pytest
-
-from needagent import memory
 from needagent.core import FeelingVar, StateSchema, StateVector
 
 # Wall-clock origin for the whole pytest session; conftest is imported once
@@ -43,26 +39,6 @@ def make_state(
         needs=(hunger, rest),
         tick=tick,
     )
-
-
-@contextmanager
-def row_walk():
-    """``loads_snapshot`` with its straight pass declining every log, so the row walk reads it."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(memory, "_straight_log", lambda schema, log: None)
-        yield
-
-
-@contextmanager
-def straight_only():
-    """``loads_snapshot`` with a row walk that fails the test if the straight pass declines."""
-
-    def walk(schema):
-        raise AssertionError("the straight pass declined")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(memory, "_log", walk)
-        yield
 
 
 def sharing(records) -> list[tuple]:

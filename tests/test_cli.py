@@ -217,6 +217,17 @@ def _set_successor_code(payload):
     _set_code(payload["model"]["successors"]["0,0,0,1,2"]["1,1,1,1,1"], "f", 0, 1, True)
 
 
+def _set_tick(record, before, after):
+    assert record["tick"] == before
+    record["tick"] = after
+
+
+def _two_faults(payload):
+    """A tick that does not increase at record 1 and a bad field at record 3: the first in log order is named."""
+    _set_tick(payload["log"][1], 1, 0)
+    payload["log"][3]["energy"] = "x"
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -267,6 +278,9 @@ def _set_successor_code(payload):
             lambda p: _set_code(p["log"][1]["state"], "y", 1, 0.0, -0.0),
             "log[1].state.y[1]: -0.0 is not a need level",
         ),
+        (lambda p: _set_tick(p["log"][1], 1, 0), "log[1].tick: 0 does not increase"),
+        (lambda p: p.__setitem__("log", {}), "log: expected a list"),
+        (_two_faults, "log[1].tick: 0 does not increase"),
     ],
     ids=[
         "nan-utility", "record-not-an-object", "energy-string", "reinforcement-string", "bad-config",
@@ -276,7 +290,7 @@ def _set_successor_code(payload):
         "model-unknown-key", "top-level-unknown-key", "schema-duplicate-names", "version-bool", "tick-bool",
         "action-code-five", "action-code-bool", "state-action-code-five", "predicted-feeling-float",
         "need-level-bool", "state-tick-bool", "state-tick-float", "successor-feeling-bool",
-        "need-level-negative-zero",
+        "need-level-negative-zero", "tick-not-increasing", "log-object", "two-faults-first-named",
     ],
 )
 def test_replay_reports_a_malformed_snapshot_field(snapshot_path, capsys, change, message):
@@ -587,3 +601,21 @@ def test_need_levels_within_float_range_still_run(tmp_path, levels, snapshot_sha
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest("metrics.csv") == "a62e11420c2d3e21af12b5e1fc6f05f305b3488bafb264e6660d302d521a9df9"
     assert digest("snapshot.json") == snapshot_sha256
+
+
+def test_need_weights_whose_learned_values_overflow_are_a_config_error(tmp_path, capsys):
+    # The reinforcement sum overflows, so a learned utility is not finite and no snapshot can hold it.
+    config = write_json(tmp_path / "config.json", {"ticks": 200, "profile": {"weights": [1e308] * 4}})
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: profile.weights: ")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_need_weights_whose_learned_values_stay_finite_still_run(tmp_path):
+    config = write_json(tmp_path / "config.json", {"ticks": 200, "profile": {"weights": [1e308, 1e308, 0, 0]}})
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest("metrics.csv") == "ea745ca6fca95b38b871722178640b898b8e587eed6a9f18deaffed5799fe4f7"
+    assert digest("snapshot.json") == "839a22d3415b26898743f4468f590eb6a21136174a0c40cdd2aeb666fac0208c"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import sys
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,10 +26,7 @@ from needagent.harness import (
     snapshot_from_run,
     verify_snapshot,
 )
-from needagent import memory
 from needagent.memory import SnapshotError, dumps_snapshot, loads_snapshot
-
-from conftest import row_walk, sharing
 
 # Any JSON value, NaN and the infinities included: ``json.load`` accepts
 # them in config files, and they reach ``loads_snapshot`` as bare tokens.
@@ -130,15 +129,6 @@ def test_snapshot_fields_raise_only_snapshot_errors(payload):
         pass
 
 
-def _loaded(text):
-    """The records a snapshot loads to, with the objects they share, or its error message."""
-    try:
-        records = loads_snapshot(text).log.records
-    except SnapshotError as exc:
-        return str(exc)
-    return records, [json.dumps(memory.record_to_dict(r)) for r in records], sharing(records)
-
-
 # What a near miss puts in place of a number: the same number as the other of int and float (a float
 # cut to an integer), one less (for a tick, the last record's), a boolean, a zero, a signed zero, and a
 # number too large for a float.
@@ -176,23 +166,48 @@ def near_misses(draw, payload: dict) -> dict:
     return payload
 
 
-def _assert_both_readers_load(payload):
-    text = json.dumps(payload)
-    straight = _loaded(text)
-    with row_walk():
-        assert _loaded(text) == straight
+def _finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _as_written(records) -> bool:
+    """True if ``records`` hold only the types a run writes: integer codes and ticks, boolean actions,
+    finite numbers, need levels without a minus sign, and ticks that rise."""
+    states = [s for r in records for s in (r.state, r.predicted_next, r.next_state) if s is not None]
+    ticks = [r.tick for r in records]
+    return (
+        all(type(tick) is int for tick in ticks + [s.tick for s in states])
+        and all(earlier < later for earlier, later in zip(ticks, ticks[1:]))
+        and all(type(a) is bool for r in records for a in r.chosen_action)
+        and all(_finite(r.reinforcement_observed) and _finite(r.energy) for r in records)
+        and all(type(code) is int for s in states for code in s.feelings)
+        and all(type(a) is bool for s in states for a in s.actions)
+        and all(_finite(level) and math.copysign(1.0, level) > 0 for s in states for level in s.needs)
+    )
+
+
+def _assert_loads_as_written(payload):
+    """A payload, encoded canonically, is a snapshot error, or loads to records of the writer's types
+    that re-encode to exactly its own bytes."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        snapshot = loads_snapshot(text)
+    except SnapshotError:
+        return
+    assert _as_written(snapshot.log.records)
+    assert dumps_snapshot(snapshot) == text
 
 
 @settings(_FUZZ, max_examples=300)
 @given(payload=mutations(_SNAPSHOT))
-def test_the_straight_pass_loads_what_the_row_walk_loads(payload):
-    _assert_both_readers_load(payload)
+def test_a_mutated_snapshot_loads_as_written_or_not_at_all(payload):
+    _assert_loads_as_written(payload)
 
 
-@settings(_FUZZ, max_examples=500)
+@settings(_FUZZ, max_examples=600)
 @given(payload=near_misses(_SNAPSHOT))
-def test_the_straight_pass_loads_near_misses_as_the_row_walk_does(payload):
-    _assert_both_readers_load(payload)
+def test_a_near_miss_loads_as_written_or_not_at_all(payload):
+    _assert_loads_as_written(payload)
 
 
 def test_the_unmutated_snapshot_verifies():
