@@ -311,15 +311,20 @@ def run_garbage_collection(
     changes only when one of its ``window_size - 1`` predecessors is removed.
     So every record before the first untrusted one is trusted for good, and
     records with a tick below ``trusted_below`` (which an earlier pass
-    proved so) are not looked up again.  A lead-in of ``window_size - 1``
-    records rebuilds the windows of the first ones that are.
+    proved so) are not looked up again.  Nor are the records inside the
+    horizon, which the retention rule keeps whatever their evidence: the
+    frontier stops at the first of them.  A lead-in of ``window_size - 1``
+    records rebuilds the windows of the first ones looked up.
     """
-    records = log.records
-    start = bisect_left(records, trusted_below, key=attrgetter("tick"))
-    counts = evidence_by_tick(records[max(0, start - model.window_size + 1):], model)
-    untrusted = (rec.tick for rec in records[start:] if counts[rec.tick] < config.gc_min_trust)
-    frontier = next(untrusted, records[-1].tick + 1 if records else trusted_below)
-    return garbage_collect(log, counts, config, start), frontier
+    start = bisect_left(log, trusted_below, key=attrgetter("tick"))
+    latest = log[-1].tick if log else 0
+    old = bisect_left(log, True, start, key=lambda rec: latest - rec.tick < config.gc_horizon)
+    lead = max(0, start - model.window_size + 1)
+    scanned = log[lead:old]
+    counts = evidence_by_tick(scanned, model)
+    untrusted = (rec.tick for rec in scanned[start - lead:] if counts[rec.tick] < config.gc_min_trust)
+    settled = log[old].tick if old < len(log) else latest + 1 if log else trusted_below
+    return garbage_collect(log, counts, config, start), next(untrusted, settled)
 
 
 def garbage_collect(log: EpisodeLog, counts: dict[int, int], config: RunConfig, start: int) -> EpisodeLog:
@@ -329,17 +334,19 @@ def garbage_collect(log: EpisodeLog, counts: dict[int, int], config: RunConfig, 
     horizon (``latest_tick - tick >= gc.horizon``), its evidence in ``counts``
     is below ``gc.min_trust``, and it is not part of the open segment (the
     records after the last explicit feedback, which global credit still
-    needs).  The first ``start`` records are kept without a lookup.  Model
-    tables are never touched.  Returns a new log; the input is left intact.
+    needs).  The first ``start`` records, and those inside the horizon, are
+    kept without a lookup.  Model tables are never touched.  Returns a new
+    log; the input is left intact.
     """
-    records = log.records
-    latest = records[-1].tick if records else 0
-    last_feedback = next((rec.tick for rec in reversed(records) if rec.reinforcement_observed), -1)
-    return EpisodeLog([*records[:start], *(
-        rec for rec in records[start:]
+    latest = log[-1].tick if log else 0
+    last_feedback = next((rec.tick for rec in reversed(log) if rec.reinforcement_observed), -1)
+    kept = log[:start]
+    kept += (
+        rec for rec in log[start:]
         if latest - rec.tick < config.gc_horizon or rec.tick > last_feedback
         or counts[rec.tick] >= config.gc_min_trust
-    )])
+    )
+    return EpisodeLog(kept)
 
 
 # ======================================================================

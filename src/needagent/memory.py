@@ -171,8 +171,9 @@ class EpisodeLog:
     """
 
     def __init__(self, records: Iterable[TransitionRecord] = ()) -> None:
-        """``records`` must already ascend by tick, gaps allowed; they are not checked again."""
-        self._records: list[TransitionRecord] = list(records)
+        """``records`` must already ascend by tick, gaps allowed; they are not checked again.
+        A list is taken over as the log's own, not copied."""
+        self._records: list[TransitionRecord] = records if type(records) is list else list(records)
 
     def append(self, rec: TransitionRecord) -> None:
         if self._records and rec.tick != self._records[-1].tick + 1:
@@ -183,15 +184,18 @@ class EpisodeLog:
             raise UsageError(f"tick must be >= 0, got {rec.tick}")
         self._records.append(rec)
 
-    @property
-    def records(self) -> tuple[TransitionRecord, ...]:
-        return tuple(self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 
+    def __getitem__(self, index: int | slice) -> TransitionRecord | list[TransitionRecord]:
+        """A record, or a new list of the records in a slice."""
+        return self._records[index]
+
     def __iter__(self) -> Iterator[TransitionRecord]:
         return iter(self._records)
+
+    def __reversed__(self) -> Iterator[TransitionRecord]:
+        return reversed(self._records)
 
 
 # ======================================================================
@@ -377,7 +381,7 @@ def _log(schema: StateSchema):
         return built
 
     row = table((
-        ("tick", "tick", _INTEGER),
+        ("tick", "tick", number(int, 0)),
         ("state", "state", state),
         ("chosen_action", "chosen_action", lambda value: tuple(map(bool, _ACTION_CODES(value)))),
         ("predicted_next", "predicted_next", optional(state)),
@@ -393,8 +397,9 @@ def _log(schema: StateSchema):
                 rec = None
                 if type(value) is dict and value.keys() == _RECORD_KEYS:
                     tick, now, chosen, predicted, feedback, energy, after = _record(value)
-                    if (type(tick) is int and type(chosen) is list and _INTS.issuperset(map(type, chosen))
-                            and _BITS.issuperset(chosen) and type(feedback) in _NUMBER_TYPES
+                    if (type(tick) is int and tick >= 0 and type(chosen) is list
+                            and _INTS.issuperset(map(type, chosen)) and _BITS.issuperset(chosen)
+                            and type(feedback) in _NUMBER_TYPES
                             and type(energy) in _NUMBER_TYPES and max(abs(feedback), abs(energy)) <= _FLOAT_MAX):
                         try:  # states in the table's order, which decides what is shared
                             rec = TransitionRecord(tick, state(now), tuple(map(bool, chosen)),

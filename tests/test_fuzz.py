@@ -194,7 +194,7 @@ def _assert_loads_as_written(payload):
         snapshot = loads_snapshot(text)
     except SnapshotError:
         return
-    assert _as_written(snapshot.log.records)
+    assert _as_written(snapshot.log)
     assert dumps_snapshot(snapshot) == text
 
 

@@ -280,7 +280,7 @@ def test_a_row_type_is_an_immutable_tuple_with_the_old_fields(row_type, names):
 
 
 def test_a_run_builds_its_records_as_the_row_types(small_run):
-    assert type(small_run.log.records[0]) is TransitionRecord
+    assert type(small_run.log[0]) is TransitionRecord
     assert type(small_run.metrics[0]) is MetricsRow
     env = PingPong(small_run.config.board)
     env.reset(0)
@@ -297,9 +297,9 @@ def test_run_garbage_collection_applies_the_retention_rule():
     result = run(config)
     counts = evidence_by_tick(result.log, result.model)
     collected, _ = run_garbage_collection(result.log, result.model, config, 0)
-    kept = {rec.tick for rec in collected.records}
+    kept = {rec.tick for rec in collected}
     last_feedback = max(rec.tick for rec in result.log if rec.reinforcement_observed)
-    latest = result.log.records[-1].tick
+    latest = result.log[-1].tick
     removed_any = False
     for rec in result.log:
         removable = (
@@ -312,12 +312,9 @@ def test_run_garbage_collection_applies_the_retention_rule():
     assert removed_any  # the scenario actually exercises collection
 
 
-_full_rescan_gc = harness.run_garbage_collection
-
-
 def _full_rescan(log, model, config, trusted_below):
-    """The collector before the trusted frontier: every pass looks up every record."""
-    return _full_rescan_gc(log, model, config, 0)
+    """A reference collector without a frontier: every pass looks up every record."""
+    return harness.garbage_collect(log, harness.evidence_by_tick(log, model), config, 0), 0
 
 
 def _outputs(config):
@@ -340,6 +337,14 @@ def _outputs(config):
          horizon=2.5, min_trust=0, interval=7)
 @example(seed=1, ticks=400, window_size=2, strategy="transition-map", successor_keying="action",
          horizon=12.5, min_trust=4, interval=5)
+# Every candidate is trusted, so each frontier moves to the first record inside the horizon.
+@example(seed=2, ticks=400, window_size=3, strategy="transition-map", successor_keying="state",
+         horizon=37.5, min_trust=0, interval=11)
+@example(seed=3, ticks=400, window_size=3, strategy=STRATEGY_SEGMENT, successor_keying="action",
+         horizon=1.0, min_trust=0, interval=1)
+# The horizon is longer than the run, so no pass has a candidate.
+@example(seed=0, ticks=200, window_size=2, strategy=STRATEGY_SEGMENT, successor_keying="state",
+         horizon=250.0, min_trust=6, interval=9)
 def test_trusted_frontier_gc_matches_a_full_rescan(
     seed, ticks, window_size, strategy, successor_keying, horizon, min_trust, interval
 ):
@@ -375,9 +380,29 @@ def test_trusted_frontier_saves_evidence_lookups(monkeypatch):
         run(RunConfig(seed=0, ticks=3000, gc_horizon=200.0, gc_interval=100, gc_min_trust=40))
         return len(scanned), sum(scanned)
 
-    assert census() == (30, 8950)
+    assert census() == (30, 3050)
     monkeypatch.setattr(harness, "run_garbage_collection", _full_rescan)
     assert census() == (30, 10419)
+
+
+@pytest.mark.parametrize("window_size", [1, 2, 3])
+def test_gc_looks_up_only_records_outside_the_horizon(monkeypatch, window_size):
+    # After the lead-in that rebuilds their windows, every record a pass looks
+    # up could be removed: none lies inside the horizon.
+    config = RunConfig(seed=1, ticks=2000, window_size=window_size, gc_horizon=150.0, gc_interval=50,
+                       gc_min_trust=20)
+    passes = []
+
+    def checked(records, model, _original=evidence_by_tick):
+        latest = (len(passes) + 1) * config.gc_interval - 1
+        records = list(records)
+        passes.append(len(records))
+        assert all(latest - rec.tick >= config.gc_horizon for rec in records[window_size - 1:])
+        return _original(records, model)
+
+    monkeypatch.setattr(harness, "evidence_by_tick", checked)
+    run(config)
+    assert len(passes) == 40 and sum(passes) > 0
 
 
 def test_run_with_periodic_gc_produces_a_gapped_but_ordered_log():
@@ -403,8 +428,7 @@ def test_a_loaded_log_shares_its_states_as_the_live_log_does():
     # tick before the prediction's own.
     result = run(RunConfig(ticks=1500))
     loaded = loads_snapshot(dumps_snapshot(snapshot_from_run(result))).log
-    for log in (result.log, loaded):
-        records = log.records
+    for records in (result.log, loaded):
         predicted = [rec for rec in records if rec.predicted_next is not None]
         assert predicted
         assert all(rec.predicted_next is records[rec.predicted_next.tick - 1].next_state for rec in predicted)

@@ -177,7 +177,7 @@ def _feedback_at_five() -> EpisodeLog:
 
 def _collect(log, horizon, min_trust, evidence, start=0):
     """``harness.garbage_collect`` with the evidence of each tick from ``evidence(tick)``."""
-    counts = {rec.tick: evidence(rec.tick) for rec in log.records[start:]}
+    counts = {rec.tick: evidence(rec.tick) for rec in log[start:]}
     config = harness.RunConfig(gc_horizon=horizon, gc_min_trust=min_trust)
     return harness.garbage_collect(log, counts, config, start)
 
@@ -187,20 +187,20 @@ def test_gc_removes_old_untrusted_records():
     out = _collect(log, 4.0, 1, lambda tick: 2 if tick % 2 == 0 else 0)
     # Ticks 6..9 form the open segment; of the old ticks 0..5 only the
     # even-evidence ones survive.
-    assert [r.tick for r in out.records] == [0, 2, 4, 6, 7, 8, 9]
+    assert [r.tick for r in out] == [0, 2, 4, 6, 7, 8, 9]
     assert len(log) == 10  # the input log is untouched
 
 
 def test_gc_horizon_zero_keeps_only_the_open_tail():
     out = _collect(_feedback_at_five(), 0.0, 1, lambda tick: 0)
-    assert [r.tick for r in out.records] == [6, 7, 8, 9]
+    assert [r.tick for r in out] == [6, 7, 8, 9]
 
 
 def test_gc_keeps_the_records_after_the_last_feedback():
     log = EpisodeLog()
     for tick, fb in enumerate((0.0, 1.0, 0.0, 0.0, -1.0, 0.0)):
         log.append(make_record(tick, feedback=fb))
-    assert [r.tick for r in _collect(log, 0.0, 1, lambda tick: 0).records] == [5]
+    assert [r.tick for r in _collect(log, 0.0, 1, lambda tick: 0)] == [5]
     log.append(make_record(6, feedback=1.0))
     assert len(_collect(log, 0.0, 1, lambda tick: 0)) == 0
 
@@ -213,7 +213,7 @@ def test_gc_keeps_trusted_records_regardless_of_age():
 def test_gc_infinite_horizon_collects_nothing():
     log = _feedback_at_five()
     out = _collect(log, math.inf, 99, lambda tick: 0)
-    assert out.records == log.records
+    assert out[:] == log[:]
 
 
 def test_gc_on_an_empty_log():
@@ -223,7 +223,7 @@ def test_gc_on_an_empty_log():
 def test_gc_keeps_the_records_before_start_without_a_lookup():
     # ``counts`` holds no tick below 3, so a lookup there would raise KeyError.
     out = _collect(_feedback_at_five(), 0.0, 1, lambda tick: 0, start=3)
-    assert [r.tick for r in out.records] == [0, 1, 2, 6, 7, 8, 9]
+    assert [r.tick for r in out] == [0, 1, 2, 6, 7, 8, 9]
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_snapshot_round_trip_preserves_everything():
     text = dumps_snapshot(snap)
     back = loads_snapshot(text)
     assert back.schema == snap.schema
-    assert back.log.records == snap.log.records
+    assert back.log[:] == snap.log[:]
     assert back.model_tables == snap.model_tables
     assert back.config == snap.config
     assert back.config_fingerprint == snap.config_fingerprint
@@ -299,14 +299,14 @@ def test_a_loaded_state_is_shared_only_when_equal_with_its_types():
         for t in range(3)
     )
     payload = json.loads(dumps_snapshot(MemorySnapshot(SCHEMA, log, {}, {}, "")))
-    first, second, third = loads_snapshot(_canonical(payload)).log.records
+    first, second, third = loads_snapshot(_canonical(payload)).log
     assert second.state is first.next_state
     assert third.predicted_next is first.next_state
     for index, field in ((1, "state"), (2, "predicted_next")):
         changed = json.loads(json.dumps(payload))
         changed["log"][index][field]["y"][0] = 0  # equal to the 0.0 before it, but an integer
         text = _canonical(changed)
-        records = loads_snapshot(text).log.records
+        records = loads_snapshot(text).log
         assert getattr(records[index], field) is not records[0].next_state
         assert dumps_snapshot(loads_snapshot(text)) == text
     for key, value in (("f", 2.0), ("a", True)):  # equal to the codes 2 and 1, but not integers
@@ -325,7 +325,7 @@ def test_equal_integer_level_states_at_one_tick_load_as_two_objects():
         assert value["y"] == [0.0, 0.0]
         value["y"] = [0, 0]  # integer levels, which no run writes
     text = _canonical(payload)
-    first, second = loads_snapshot(text).log.records
+    first, second = loads_snapshot(text).log
     assert second.state == first.next_state
     assert second.state is not first.next_state
     assert dumps_snapshot(loads_snapshot(text)) == text
@@ -374,7 +374,7 @@ def test_loads_snapshot_allows_tick_gaps():
     payload = json.loads(dumps_snapshot(make_snapshot()))
     del payload["log"][1]
     back = loads_snapshot(json.dumps(payload))
-    assert [r.tick for r in back.log.records] == [0, 2]
+    assert [r.tick for r in back.log] == [0, 2]
 
 
 def test_loads_snapshot_rejects_invalid_json():
@@ -394,7 +394,7 @@ def test_save_and_load_snapshot(tmp_path):
     snap = make_snapshot()
     path = tmp_path / "snapshot.json"
     save_snapshot(snap, str(path))
-    assert load_snapshot(str(path)).log.records == snap.log.records
+    assert load_snapshot(str(path)).log[:] == snap.log[:]
     assert path.read_bytes().endswith(b"\n")
     assert b"\r" not in path.read_bytes()
 
@@ -480,15 +480,15 @@ def test_a_loaded_run_is_its_live_log(seed, window, weight, collection):
     result = harness.run(harness.config_from_dict(config))
     text = dumps_snapshot(harness.snapshot_from_run(result))
     loaded = loads_snapshot(text)
-    assert loaded.log.records == result.log.records
-    assert sharing(loaded.log.records) == sharing(result.log.records)
+    assert loaded.log[:] == result.log[:]
+    assert sharing(loaded.log) == sharing(result.log)
     assert dumps_snapshot(loaded) == text
 
 
 def test_a_canonical_snapshot_shares_one_state_per_tick():
     config = harness.config_from_dict({"window_size": 3, "board": {"feedback_delay": 2}, "ticks": 2000})
     text = dumps_snapshot(harness.snapshot_from_run(harness.run(config)))
-    records = loads_snapshot(text).log.records
+    records = loads_snapshot(text).log
     assert len(records) == 2000
     states = {id(s) for r in records for s in (r.state, r.predicted_next, r.next_state)} - {id(None)}
     assert len(states) == 2001  # one state per tick, as in the live run

@@ -522,7 +522,7 @@ def test_a_state_other_than_the_last_next_state_is_pushed_on_the_learned_window(
     r1 = make_record(1, pos=2, next_pos=3, feedback=1.0)
     r2 = make_record(2, pos=3, next_pos=0)
     log = _shared(EpisodeLog([r0, r1, r2]))
-    assert log.records[1].state is r1.state and log.records[2].state is r1.next_state
+    assert log[1].state is r1.state and log[2].state is r1.next_state
     model = TransitionModel(window_size=3)
     driver = LearningDriver(model, make_params(), STRATEGY_TRANSITION_MAP)
     for rec in log:
