@@ -25,13 +25,13 @@ from needagent.harness import (
     RunConfig,
     config_from_dict,
     profiles_from_list,
+    metrics_to_csv,
     read_metrics,
     run,
     snapshot_from_run,
     sweep,
     sweep_to_csv,
     verify_snapshot,
-    write_metrics,
 )
 from needagent.memory import SnapshotError, atomic_writer, dumps_snapshot, load_snapshot
 from needagent.pingpong import random_baseline
@@ -86,24 +86,15 @@ def _parse_seed_range(text: str) -> list[int]:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed)
     result = run(config)
-    try:  # before either file is written, so no run leaves metrics without a snapshot
-        snapshot = dumps_snapshot(snapshot_from_run(result))
-    except ValueError as exc:  # the snapshot holds a learned value that overflowed
-        raise ConfigError(f"profile.weights: too large, the learned values are not finite ({exc})") from exc
     out_dir = _resolve_out_dir(args.out, config)
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     snapshot_path = os.path.join(out_dir, "snapshot.json")
-    write_metrics(result.metrics, metrics_path)
-    with atomic_writer(snapshot_path) as fh:
-        fh.write(snapshot)
-    last = result.metrics[-1] if result.metrics else None
-    hits = last.cumulative_hits if last else 0
-    misses = last.cumulative_misses if last else 0
-    print(
-        f"run seed={config.seed} ticks={config.ticks} hits={hits} misses={misses} "
-        f"final_rolling_hit_rate={result.final_rolling_hit_rate:.6f}"
-    )
+    with atomic_writer(metrics_path) as metrics_fh, atomic_writer(snapshot_path) as snapshot_fh:
+        metrics_fh.write(metrics_to_csv(result.metrics))  # neither file is renamed until both are written
+        snapshot_fh.write(dumps_snapshot(snapshot_from_run(result)))
+    print(f"run seed={config.seed} ticks={config.ticks} hits={result.hits} misses={result.misses} "
+          f"final_rolling_hit_rate={result.final_rolling_hit_rate:.6f}")
     print(f"wrote {metrics_path}")
     print(f"wrote {snapshot_path}")
     return EXIT_OK
@@ -119,15 +110,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runs_csv, summary_csv = sweep_to_csv(runs, summaries)
     runs_path = os.path.join(out_dir, "sweep_runs.csv")
     summary_path = os.path.join(out_dir, "sweep_summary.csv")
-    for path, text in ((runs_path, runs_csv), (summary_path, summary_csv)):
-        with atomic_writer(path) as fh:
-            fh.write(text)
+    with atomic_writer(runs_path) as runs_fh, atomic_writer(summary_path) as summary_fh:
+        runs_fh.write(runs_csv)  # neither file is renamed until both are written
+        summary_fh.write(summary_csv)
     for s in summaries:
-        print(
-            f"profile={s.profile_label} runs={s.runs} "
-            f"mean_final_hit_rate={s.mean_final_hit_rate:.6f} "
-            f"stdev={s.stdev_final_hit_rate:.6f}"
-        )
+        print(f"profile={s.profile_label} runs={s.runs} mean_final_hit_rate={s.mean_final_hit_rate:.6f} "
+              f"stdev={s.stdev_final_hit_rate:.6f}")
     print(f"wrote {runs_path}")
     print(f"wrote {summary_path}")
     return EXIT_OK

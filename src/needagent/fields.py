@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 _FLOAT_MAX = sys.float_info.max
+ABSENT = object()  # the value of a key or item that one side of a :func:`difference` lacks
 
 
 class FieldError(ValueError):
@@ -163,3 +164,30 @@ def table(rows: Iterable[tuple[str, str, Callable]], build: Callable | None = No
             raise FieldError(str(exc)) from exc
 
     return parse_table
+
+
+def difference(a, b, where: str, sides: tuple[str, str]) -> str | None:
+    """The first difference between JSON values ``a`` and ``b``, named by its path below ``where`` in this
+    reader's style, then `` (and N more)`` if N more differ; None if ``a == b``.  Objects are walked by key,
+    ``a``'s keys first, and lists by index.  A key, item or value that one side lacks (:data:`ABSENT`) is named
+    as missing from that side of ``sides``; a container is named by its kind, never printed."""
+    if a == b:
+        return None
+    found = _differences(a, b, where, sides)
+    first, more = next(found), sum(1 for _ in found)
+    return f"{first} (and {more} more)" if more else first
+
+
+def _differences(a, b, path: str, sides: tuple[str, str]) -> Iterator[str]:
+    if a is ABSENT or b is ABSENT:
+        yield f"{path}: missing from the {sides[b is ABSENT]}"
+    elif isinstance(a, (dict, list)) and type(a) is type(b):
+        if isinstance(a, list):
+            a, b = dict(enumerate(a)), dict(enumerate(b))
+        for key in [*a, *(key for key in b if key not in a)]:
+            if (x := a.get(key, ABSENT)) != (y := b.get(key, ABSENT)):
+                step = f".{key}" if isinstance(key, str) and key.isidentifier() else f"[{key!r}]"
+                yield from _differences(x, y, path + step, sides)
+    else:
+        shown = ["an object" if isinstance(v, dict) else "a list" if isinstance(v, list) else repr(v) for v in (a, b)]
+        yield f"{path}: {shown[0]} vs {shown[1]}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import statistics
 from bisect import bisect_left
 from collections import deque
@@ -23,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence, get_type_hints
 
 from needagent.core import ActionCost, PriorityProfile, SchemaError, StateSchema, energy_spent
 from needagent.decision import DecisionPolicy, MODES, decide
-from needagent.fields import FieldError, choice, items, number, optional, read, table, valid
+from needagent.fields import FieldError, choice, difference, items, number, optional, read, table, valid
 from needagent.memory import (
     EpisodeLog,
     HistoryWalk,
@@ -32,6 +33,7 @@ from needagent.memory import (
     TransitionRecord,
     atomic_writer,
     collector_paused,
+    schema_to_dict,
 )
 from needagent.model import (
     LearningDriver,
@@ -226,9 +228,17 @@ class RunResult:
     def final_rolling_hit_rate(self) -> float:
         return self.metrics[-1].rolling_hit_rate if self.metrics else 0.0
 
+    @property
+    def hits(self) -> int:
+        return self.metrics[-1].cumulative_hits if self.metrics else 0
+
+    @property
+    def misses(self) -> int:
+        return self.metrics[-1].cumulative_misses if self.metrics else 0
+
 
 def run(config: RunConfig) -> RunResult:
-    """Execute one seeded episode: sense, decide, act, learn, repeat."""
+    """Execute one seeded episode: sense, decide, act, learn, repeat; a non-finite utility is a ConfigError."""
     env = PingPong(config.board)
     state = env.reset(derive_seed(config.seed, "env"))
     rng = Random(derive_seed(config.seed, "agent"))
@@ -283,6 +293,11 @@ def run(config: RunConfig) -> RunResult:
         if gc_interval and (tick + 1) % gc_interval == 0:
             log, trusted_below = run_garbage_collection(log, model, config, trusted_below)
 
+    for hk, row in model.utility.items():
+        if not all(map(math.isfinite, row.values())):  # each utility: two finite ones can sum to inf
+            sk = next(sk for sk, u in row.items() if not math.isfinite(u))
+            raise ConfigError(f"profile.weights, profile.energy_weight, learning.predictability_weight: too large, "
+                              f"model.utility[{hk!r}][{sk!r}] learned {row[sk]}")
     return RunResult(config=config, schema=schema, log=log, model=model, metrics=metrics)
 
 
@@ -398,8 +413,10 @@ def verify_snapshot(snapshot: MemorySnapshot) -> list[str]:
         raise SnapshotError(f"config.{exc}") from exc
     if config_fingerprint(config) != snapshot.config_fingerprint:
         problems.append("config_fingerprint does not match the embedded config")
-    if snapshot.schema != build_schema(config.board):
-        return problems + ["schema does not match the board of the embedded config"]
+    found = difference(schema_to_dict(snapshot.schema), schema_to_dict(build_schema(config.board)), "schema",
+                       ("snapshot", "board's schema"))
+    if found is not None:
+        return problems + [f"schema does not match the board of the embedded config: {found}"]
     problems += _log_problems(snapshot.log, build_action_cost(snapshot.schema))
     rebuilt = rebuild_from_log(snapshot.log, config.learning_params(), strategy=config.strategy,
                                window_size=config.window_size, successor_keying=config.successor_keying)
@@ -510,29 +527,16 @@ def sweep(
     runs: list[SweepRun] = []
     for label, profile in profiles:
         for seed in sorted(seeds):
-            variant = replace(config, seed=seed, profile=profile)
-            result = run(variant)
-            last = result.metrics[-1] if result.metrics else None
-            runs.append(
-                SweepRun(
-                    profile_label=label,
-                    seed=seed,
-                    final_rolling_hit_rate=result.final_rolling_hit_rate,
-                    hits=last.cumulative_hits if last else 0,
-                    misses=last.cumulative_misses if last else 0,
-                )
-            )
+            try:
+                result = run(replace(config, seed=seed, profile=profile))
+            except ConfigError as exc:
+                raise ConfigError(f"profile {label!r} seed {seed}: {exc}") from exc
+            runs.append(SweepRun(label, seed, result.final_rolling_hit_rate, result.hits, result.misses))
     summaries = []
     for label, _ in profiles:
         rates = [r.final_rolling_hit_rate for r in runs if r.profile_label == label]
-        summaries.append(
-            SweepSummary(
-                profile_label=label,
-                runs=len(rates),
-                mean_final_hit_rate=statistics.mean(rates),
-                stdev_final_hit_rate=statistics.stdev(rates) if len(rates) > 1 else 0.0,
-            )
-        )
+        stdev = statistics.stdev(rates) if len(rates) > 1 else 0.0
+        summaries.append(SweepSummary(label, len(rates), statistics.mean(rates), stdev))
     return runs, summaries
 
 

@@ -26,6 +26,7 @@ from needagent.core import (
     state_distance,
     state_key,  # unused here, but perfbench's tracer counts calls through this name
 )
+from needagent.fields import ABSENT, difference
 from needagent.memory import EpisodeLog, HistoryWalk, HistoryWindow, Segment, TransitionRecord, state_to_dict
 
 STRATEGY_SEGMENT = "segment"
@@ -319,26 +320,10 @@ def rebuild_from_log(
 
 
 def tables_equal(a: dict, b: dict) -> list[str]:
-    """Differences between two model table dumps; empty means equal.
-
-    Every section must match exactly, as a replay is bit-exact.  Utilities
-    are compared one by one, so a NaN on either side always differs.
-    """
-    problems: list[str] = []
-    for section in ("window_size", "successor_keying", "evidence", "successors", "state_seen"):
-        if a.get(section) != b.get(section):
-            problems.append(f"model.{section} differs")
-    ua, ub = a.get("utility", {}), b.get("utility", {})
-    if set(ua) != set(ub):
-        problems.append("model.utility: history keys differ")
-    else:
-        for hk in ua:
-            if set(ua[hk]) != set(ub[hk]):
-                problems.append(f"model.utility[{hk!r}]: successor keys differ")
-                continue
-            for sk in ua[hk]:
-                if ua[hk][sk] != ub[hk][sk]:
-                    problems.append(
-                        f"model.utility[{hk!r}][{sk!r}]: {ua[hk][sk]} vs {ub[hk][sk]}"
-                    )
-    return problems
+    """Stored (``a``) against rebuilt (``b``) model tables, empty if equal: for each differing section, its first
+    difference and a count of the rest (:func:`difference`).  A section is compared with one ``!=``, which takes
+    an object on both sides as equal to itself, NaN too; but stored tables come from ``json.loads``, which rejects
+    NaN, and rebuilt ones are fresh objects, so a NaN on either side differs."""
+    found = (difference(a.get(section, ABSENT), b.get(section, ABSENT), f"model.{section}", ("snapshot", "rebuild"))
+             for section in ("window_size", "successor_keying", "utility", "evidence", "successors", "state_seen"))
+    return [line for line in found if line is not None]

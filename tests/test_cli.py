@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from needagent.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, OUT_DIR_ENV, main
-from needagent.harness import CSV_COLUMNS
+from needagent.harness import CSV_COLUMNS, config_fingerprint, config_from_dict
 
 
 def write_json(path, payload):
@@ -95,6 +96,17 @@ def test_run_rejects_a_gc_horizon_of_zero(tmp_path, capsys):
     assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: gc.horizon: must be > 0")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_replaces_neither_file_if_the_snapshot_cannot_be_written(tmp_path, config_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics.csv").write_bytes(b"old metrics\n")
+    (out / "snapshot.json").mkdir()
+    assert main(["run", "--config", config_path, "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert (out / "metrics.csv").read_bytes() == b"old metrics\n"
+    assert sorted(path.name for path in out.iterdir()) == ["metrics.csv", "snapshot.json"]  # no temporary file
 
 
 def test_run_reports_a_missing_config_as_an_io_error(tmp_path, capsys):
@@ -311,15 +323,19 @@ def _drop_a_need_everywhere(payload):
 
 
 @pytest.mark.parametrize(
-    "change",
-    [lambda p: p["schema"]["feelings"][0].__setitem__("name", "renamed"), _drop_a_need_everywhere],
+    "change, first",
+    [
+        (lambda p: p["schema"]["feelings"][0].__setitem__("name", "renamed"),
+         "schema.feelings[0].name: 'renamed' vs 'ball_col'"),
+        (_drop_a_need_everywhere, "schema.needs[3]: missing from the snapshot"),
+    ],
     ids=["renamed-feeling", "three-needs"],
 )
-def test_replay_reports_a_schema_other_than_the_boards(snapshot_path, capsys, change):
+def test_replay_reports_a_schema_other_than_the_boards(snapshot_path, capsys, change, first):
     _tamper(snapshot_path, change)
     capsys.readouterr()
     assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_VERIFY
-    assert "mismatch: schema does not match the board" in capsys.readouterr().err
+    assert f"mismatch: schema does not match the board of the embedded config: {first}\n" in capsys.readouterr().err
 
 
 def _flip_the_chosen_action(payload):
@@ -353,7 +369,37 @@ def test_replay_reports_a_missing_model_section_as_a_mismatch(snapshot_path, cap
     _tamper(snapshot_path, lambda p: p["model"].pop("evidence"))
     capsys.readouterr()
     assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_VERIFY
-    assert "mismatch: model.evidence differs" in capsys.readouterr().err
+    assert capsys.readouterr().err == "mismatch: model.evidence: missing from the snapshot\n"
+
+
+def _refingerprint(payload):
+    payload["config_fingerprint"] = config_fingerprint(config_from_dict(payload["config"]))
+
+
+def _set_utility_step(payload):
+    payload["config"]["learning"]["utility_step"] = 0.2
+    _refingerprint(payload)
+
+
+def test_replay_names_the_first_differing_utility_and_counts_the_rest(snapshot_path, capsys):
+    _tamper(snapshot_path, _set_utility_step)
+    capsys.readouterr()
+    assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_VERIFY
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"mismatch: model\.utility\['[\d,]+'\]\['[\d,]+'\]: \S+ vs \S+ \(and [1-9]\d* more\)", lines[0])
+
+
+def test_replay_of_a_garbage_collected_snapshot_names_a_key_per_differing_section(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json",
+                        {"ticks": 200, "window_size": 3, "gc": {"horizon": 10, "min_trust": 2, "interval": 10}})
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["replay", "--snapshot", str(tmp_path / "snapshot.json")]) == EXIT_VERIFY
+    lines = capsys.readouterr().err.splitlines()
+    sections = [re.fullmatch(r"mismatch: model\.(\w+)\['[\d,|]+'\]\S*: .+ \(and \d+ more\)", line).group(1)
+                for line in lines]
+    assert sections == ["utility", "evidence", "successors", "state_seen"]
 
 
 def test_replay_reports_malformed_snapshots_as_io_errors(tmp_path, capsys):
@@ -425,6 +471,19 @@ def test_sweep_writes_both_tables(tmp_path, config_path, profiles_path, capsys):
     assert len(runs_lines) == 7  # header + 2 profiles x 3 seeds
     summary_lines = (out / "sweep_summary.csv").read_text(encoding="utf-8").strip().split("\n")
     assert len(summary_lines) == 3
+
+
+def test_sweep_replaces_neither_table_if_the_summary_cannot_be_written(tmp_path, profiles_path, capsys):
+    config = write_json(tmp_path / "config.json", {"ticks": 20})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sweep_runs.csv").write_bytes(b"old runs\n")
+    (out / "sweep_summary.csv").mkdir()
+    code = main(["sweep", "--config", config, "--profiles", profiles_path, "--seeds", "0", "--out", str(out)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert (out / "sweep_runs.csv").read_bytes() == b"old runs\n"
+    assert sorted(path.name for path in out.iterdir()) == ["sweep_runs.csv", "sweep_summary.csv"]  # no temporary file
 
 
 def test_sweep_accepts_a_single_seed(tmp_path, profiles_path):
@@ -609,9 +668,35 @@ def test_need_weights_whose_learned_values_overflow_are_a_config_error(tmp_path,
     config = write_json(tmp_path / "config.json", {"ticks": 200, "profile": {"weights": [1e308] * 4}})
     assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: profile.weights: ")
+    assert captured.err.startswith(f"config error: {_LEARNING_FIELDS}: too large, model.utility[")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+_LEARNING_FIELDS = "profile.weights, profile.energy_weight, learning.predictability_weight"
+
+
+def test_learned_values_that_overflow_name_every_field_that_feeds_them(tmp_path, capsys):
+    # Default weights: the energy and predictability terms overflow, not the need weights.
+    config = write_json(tmp_path / "config.json", {
+        "ticks": 2000, "profile": {"energy_weight": 1.7e308},
+        "learning": {"predictability_weight": 1.7e308, "utility_step": 1.0},
+    })
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"config error: {_LEARNING_FIELDS}: too large, model\.utility\['[\d,]+'\]\['[\d,]+'\] "
+                        r"learned (-?inf|nan)\n", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_learned_values_that_overflow_naming_the_profile_and_seed(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", {"ticks": 200})
+    profiles = write_json(tmp_path / "profiles.json", [{"label": "huge", "weights": [1e308] * 4}])
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", config, "--profiles", profiles, "--seeds", "0..1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: profile 'huge' seed 0: {_LEARNING_FIELDS}: too large, ")
+    assert list(out.iterdir()) == []
 
 
 def test_need_weights_whose_learned_values_stay_finite_still_run(tmp_path):

@@ -661,18 +661,72 @@ def test_tables_equal_reports_named_differences():
     hk = next(iter(b["utility"]))
     sk = next(iter(b["utility"][hk]))
     b["utility"][hk][sk] += 1e-15
-    assert tables_equal(a, b) != []
-
-    b["utility"][hk][sk] += 1.0
-    assert any("utility" in p for p in tables_equal(a, b))
+    assert tables_equal(a, b) == [f"model.utility[{hk!r}][{sk!r}]: {a['utility'][hk][sk]} vs {b['utility'][hk][sk]}"]
 
     c = model.to_tables()
     c["evidence"][hk][sk] += 1
-    assert "model.evidence differs" in tables_equal(a, c)
+    assert tables_equal(a, c) == [f"model.evidence[{hk!r}][{sk!r}]: {a['evidence'][hk][sk]} vs {c['evidence'][hk][sk]}"]
 
     d = model.to_tables()
     d["utility"]["9,9"] = {}
-    assert "model.utility: history keys differ" in tables_equal(a, d)
+    assert tables_equal(a, d) == ["model.utility['9,9']: missing from the snapshot"]
+    assert tables_equal(d, a) == ["model.utility['9,9']: missing from the rebuild"]
+
+
+def _edit(tables: dict, steps: list):
+    """Change the leaf at ``steps`` to another value of its type; returns the old and new values."""
+    *parents, last = steps
+    node = tables
+    for step in parents:
+        node = node[step]
+    old = node[last]
+    node[last] = "action" if old == "state" else old + 1
+    return old, node[last]
+
+
+@pytest.mark.parametrize(
+    "steps, path",
+    [
+        (["window_size"], "model.window_size"),
+        (["successor_keying"], "model.successor_keying"),
+        (["utility", "0,0", "1,0"], "model.utility['0,0']['1,0']"),
+        (["evidence", "0,0", "1,0"], "model.evidence['0,0']['1,0']"),
+        (["successors", "0,0", "1,0", "y", 1], "model.successors['0,0']['1,0'].y[1]"),
+        (["state_seen", "1,0"], "model.state_seen['1,0']"),
+    ],
+    ids=["window_size", "successor_keying", "utility", "evidence", "successors", "state_seen"],
+)
+def test_tables_equal_names_one_edited_leaf_by_its_path(steps, path):
+    model = rebuild_from_log(_synthetic_log(), make_params(), STRATEGY_TRANSITION_MAP, 1)
+    tables, edited = model.to_tables(), model.to_tables()
+    old, new = _edit(edited, steps)
+    assert tables_equal(tables, edited) == [f"{path}: {old!r} vs {new!r}"]
+
+
+@pytest.mark.parametrize("section", ("utility", "evidence", "state_seen"))
+@pytest.mark.parametrize("k", (2, 4))
+def test_tables_equal_names_the_first_of_k_edits_and_counts_the_rest(section, k):
+    model = rebuild_from_log(_synthetic_log(), make_params(), STRATEGY_TRANSITION_MAP, 1)
+    tables, edited = model.to_tables(), model.to_tables()
+    leaves = [[section, key] for key in tables[section]] if section == "state_seen" else [
+        [section, hk, sk] for hk, row in tables[section].items() for sk in row]
+    assert len(leaves) >= k
+    for steps in leaves[:k]:
+        _edit(edited, steps)
+    (line,) = tables_equal(tables, edited)
+    assert line.startswith(f"model.{section}[{leaves[0][1]!r}]")
+    assert line.endswith(f" (and {k - 1} more)")
+
+
+def test_tables_equal_names_a_section_one_side_lacks_and_never_prints_a_container():
+    tables = rebuild_from_log(_synthetic_log(), make_params(), STRATEGY_TRANSITION_MAP, 1).to_tables()
+    lacking = {key: value for key, value in tables.items() if key != "successors"}
+    assert tables_equal(lacking, tables) == ["model.successors: missing from the snapshot"]
+    assert tables_equal(tables, lacking) == ["model.successors: missing from the rebuild"]
+    hk = next(iter(tables["utility"]))
+    assert tables_equal({**tables, "utility": {hk: 3}}, tables) == [
+        f"model.utility[{hk!r}]: 3 vs an object (and {len(tables['utility']) - 1} more)"]
+    assert tables_equal({**tables, "window_size": []}, tables) == ["model.window_size: a list vs 1"]
 
 
 def test_tables_equal_reports_a_nan_utility():
