@@ -9,7 +9,10 @@ Usage:
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 replay
 verification failure.  The default output directory is ``--out``, then the
-config's ``out_dir``, then ``$NEEDAGENT_OUT``, then the working directory.
+config's ``out_dir``, then ``$NEEDAGENT_OUT``, then the working directory;
+it is made only once a command has its files to write.  Every output file
+goes through :func:`needagent.memory.write_files`, so no target is replaced
+until all of a command's files are written and none of them is a directory.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from needagent.harness import (
     sweep_to_csv,
     verify_snapshot,
 )
-from needagent.memory import SnapshotError, atomic_writer, dumps_snapshot, load_snapshot
+from needagent.memory import SnapshotError, dumps_snapshot, load_snapshot, write_files
 from needagent.pingpong import random_baseline
 from needagent.plot import write_svg
 
@@ -53,14 +56,6 @@ def _read_json(path: str):
 def _load_config(path: str, seed: int | None) -> RunConfig:
     config = config_from_dict(_read_json(path))
     return config if seed is None else replace(config, seed=seed)  # flags beat the file
-
-
-def _resolve_out_dir(flag_value: str | None, config: RunConfig | None) -> str:
-    if flag_value:
-        return flag_value
-    if config is not None and config.out_dir:
-        return config.out_dir
-    return os.environ.get(OUT_DIR_ENV) or "."
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -83,42 +78,35 @@ def _parse_seed_range(text: str) -> list[int]:
 # ----------------------------------------------------------------------
 
 
+def _write_outputs(out: str | None, config: RunConfig, texts: dict[str, str], summary: list[str]) -> int:
+    """Write each named text into the output directory, then print the summary and a ``wrote`` line per file."""
+    out_dir = out or config.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {os.path.join(out_dir, name): text for name, text in texts.items()}
+    write_files(paths)
+    print(*summary, *(f"wrote {path}" for path in paths), sep="\n")
+    return EXIT_OK
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed)
     result = run(config)
-    out_dir = _resolve_out_dir(args.out, config)
-    os.makedirs(out_dir, exist_ok=True)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    snapshot_path = os.path.join(out_dir, "snapshot.json")
-    with atomic_writer(metrics_path) as metrics_fh, atomic_writer(snapshot_path) as snapshot_fh:
-        metrics_fh.write(metrics_to_csv(result.metrics))  # neither file is renamed until both are written
-        snapshot_fh.write(dumps_snapshot(snapshot_from_run(result)))
-    print(f"run seed={config.seed} ticks={config.ticks} hits={result.hits} misses={result.misses} "
-          f"final_rolling_hit_rate={result.final_rolling_hit_rate:.6f}")
-    print(f"wrote {metrics_path}")
-    print(f"wrote {snapshot_path}")
-    return EXIT_OK
+    texts = {"metrics.csv": metrics_to_csv(result.metrics),
+             "snapshot.json": dumps_snapshot(snapshot_from_run(result))}
+    return _write_outputs(args.out, config, texts, [
+        f"run seed={config.seed} ticks={config.ticks} hits={result.hits} misses={result.misses} "
+        f"final_rolling_hit_rate={result.final_rolling_hit_rate:.6f}"])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config, None)
     profiles = profiles_from_list(_read_json(args.profiles))
     seeds = _parse_seed_range(args.seeds)
-    out_dir = _resolve_out_dir(args.out, config)
-    os.makedirs(out_dir, exist_ok=True)
     runs, summaries = sweep(config, profiles, seeds)
-    runs_csv, summary_csv = sweep_to_csv(runs, summaries)
-    runs_path = os.path.join(out_dir, "sweep_runs.csv")
-    summary_path = os.path.join(out_dir, "sweep_summary.csv")
-    with atomic_writer(runs_path) as runs_fh, atomic_writer(summary_path) as summary_fh:
-        runs_fh.write(runs_csv)  # neither file is renamed until both are written
-        summary_fh.write(summary_csv)
-    for s in summaries:
-        print(f"profile={s.profile_label} runs={s.runs} mean_final_hit_rate={s.mean_final_hit_rate:.6f} "
-              f"stdev={s.stdev_final_hit_rate:.6f}")
-    print(f"wrote {runs_path}")
-    print(f"wrote {summary_path}")
-    return EXIT_OK
+    texts = dict(zip(("sweep_runs.csv", "sweep_summary.csv"), sweep_to_csv(runs, summaries)))
+    return _write_outputs(args.out, config, texts, [
+        f"profile={s.profile_label} runs={s.runs} mean_final_hit_rate={s.mean_final_hit_rate:.6f} "
+        f"stdev={s.stdev_final_hit_rate:.6f}" for s in summaries])
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:

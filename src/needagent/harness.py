@@ -31,9 +31,9 @@ from needagent.memory import (
     MemorySnapshot,
     SnapshotError,
     TransitionRecord,
-    atomic_writer,
     collector_paused,
     schema_to_dict,
+    write_files,
 )
 from needagent.model import (
     LearningDriver,
@@ -401,11 +401,12 @@ def _log_problems(log: Iterable[TransitionRecord], cost: ActionCost) -> list[str
 
 @collector_paused()
 def verify_snapshot(snapshot: MemorySnapshot) -> list[str]:
-    """Check the log's own invariants, replay it and diff the rebuilt model
-    against the stored tables.  Returns human-readable problems; empty means
-    verified.  An invalid embedded config is a :class:`SnapshotError` naming
-    ``config.<field>``.  A schema other than the embedded board's is reported
-    without a replay, which could not learn from states of another shape."""
+    """Check the log's own invariants and its reach over the configured run,
+    replay it and diff the rebuilt model against the stored tables.  Returns
+    human-readable problems; empty means verified.  An invalid embedded
+    config is a :class:`SnapshotError` naming ``config.<field>``.  A schema
+    other than the embedded board's is reported without a replay, which
+    could not learn from states of another shape."""
     problems: list[str] = []
     try:
         config = config_from_dict(snapshot.config)
@@ -417,8 +418,14 @@ def verify_snapshot(snapshot: MemorySnapshot) -> list[str]:
                        ("snapshot", "board's schema"))
     if found is not None:
         return problems + [f"schema does not match the board of the embedded config: {found}"]
-    problems += _log_problems(snapshot.log, build_action_cost(snapshot.schema))
-    rebuilt = rebuild_from_log(snapshot.log, config.learning_params(), strategy=config.strategy,
+    log = snapshot.log
+    problems += _log_problems(log, build_action_cost(snapshot.schema))
+    if log and log[-1].tick != config.ticks - 1:
+        problems.append(f"log[-1].tick: {log[-1].tick} is not config.ticks - 1 = {config.ticks - 1}")
+    # Without GC a run keeps a record per tick; with it, fewer but never none.
+    if len(log) != config.ticks and (not log or config.gc_horizon is None or not config.gc_interval):
+        problems.append(f"log: {len(log)} records, config.ticks is {config.ticks}")
+    rebuilt = rebuild_from_log(log, config.learning_params(), strategy=config.strategy,
                                window_size=config.window_size, successor_keying=config.successor_keying)
     return problems + tables_equal(snapshot.model_tables, rebuilt.to_tables())
 
@@ -476,8 +483,7 @@ def metrics_from_csv(text: str) -> list[MetricsRow]:
 
 @collector_paused()
 def write_metrics(rows: Sequence[MetricsRow], path: str) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(metrics_to_csv(rows))
+    write_files({path: metrics_to_csv(rows)})
 
 
 def read_metrics(path: str) -> list[MetricsRow]:

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple
 
 from needagent.core import FeelingVar, StateSchema, StateVector, UsageError, state_key
 from needagent.fields import FieldError, entries, items, number, optional, read, table, valid
@@ -343,7 +343,7 @@ _MODEL = table((
     ("state_seen", "state_seen", entries(_INTEGER)),
 ))
 _SNAPSHOT = table((
-    ("version", "version", _INTEGER),
+    ("version", "version", number(int, 1)),
     ("schema", "schema", _SCHEMA),
     ("log", "log", valid(lambda value: type(value) is list, "expected a list")),  # the records are read by ``_log``
     ("model", "model_tables", _MODEL),
@@ -436,29 +436,34 @@ def loads_snapshot(text: str) -> MemorySnapshot:
     return MemorySnapshot(**values)
 
 
-@contextmanager
-def atomic_writer(path: str) -> Iterator[TextIO]:
-    """A UTF-8 text file whose contents replace ``path`` only when complete.
+def write_files(texts: dict[str, str]) -> None:
+    """Replace each path in ``texts`` with its UTF-8 text, as far as renames allow all at once.
 
-    Text goes to a temporary file beside ``path``, renamed over it when the
-    block exits cleanly.  If the block raises, the temporary file is removed
-    and ``path`` keeps its old bytes (or stays absent).
+    Each text goes to a temporary file beside its path.  Nothing is renamed
+    until every text is written and no target is a directory; if anything
+    fails, every temporary file made is removed, and each target not yet
+    renamed over keeps its old bytes (or stays absent).
     """
-    directory, name = os.path.split(path)
-    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    fh = open(temp, "x", encoding="utf-8", newline="")
+    staged: dict[str, str] = {}  # temporary file -> its target, until renamed
     try:
-        with fh:
-            yield fh
-        os.replace(temp, path)
-    except BaseException:
-        os.remove(temp)
-        raise
+        for path, text in texts.items():
+            directory, name = os.path.split(path)
+            temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8", newline="") as fh:
+                staged[temp] = path
+                fh.write(text)
+        for path in filter(os.path.isdir, texts):
+            raise IsADirectoryError(f"Is a directory: {path!r}")
+        for temp, path in list(staged.items()):
+            os.replace(temp, path)
+            del staged[temp]
+    finally:
+        for temp in staged:
+            os.remove(temp)
 
 
 def save_snapshot(snap: MemorySnapshot, path: str) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(dumps_snapshot(snap))
+    write_files({path: dumps_snapshot(snap)})
 
 
 def load_snapshot(path: str) -> MemorySnapshot:

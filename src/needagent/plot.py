@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from needagent.memory import atomic_writer
+from needagent.memory import write_files
 
 MARGIN_LEFT = 60.0
 MARGIN_RIGHT = 20.0
@@ -97,5 +97,4 @@ def render_svg(rows: Sequence) -> str:
 
 
 def write_svg(rows: Sequence, path: str) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(render_svg(rows))
+    write_files({path: render_svg(rows)})

@@ -12,6 +12,8 @@ import pytest
 
 from needagent.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, OUT_DIR_ENV, main
 from needagent.harness import CSV_COLUMNS, config_fingerprint, config_from_dict
+from needagent.memory import loads_snapshot
+from needagent.model import rebuild_from_log
 
 
 def write_json(path, payload):
@@ -294,6 +296,8 @@ def _two_faults(payload):
         (lambda p: _set_tick(p["log"][1], 1, 0), "log[1].tick: 0 does not increase"),
         (lambda p: p.__setitem__("log", {}), "log: expected a list"),
         (_two_faults, "log[1].tick: 0 does not increase"),
+        (lambda p: p.__setitem__("version", 0), "version: must be >= 1"),
+        (lambda p: p.__setitem__("version", -7), "version: must be >= 1"),
     ],
     ids=[
         "nan-utility", "record-not-an-object", "energy-string", "reinforcement-string", "bad-config",
@@ -304,6 +308,7 @@ def _two_faults(payload):
         "tick-negative", "action-code-five", "action-code-bool", "state-action-code-five", "predicted-feeling-float",
         "need-level-bool", "state-tick-bool", "state-tick-float", "successor-feeling-bool",
         "need-level-negative-zero", "tick-not-increasing", "log-object", "two-faults-first-named",
+        "version-zero", "version-negative",
     ],
 )
 def test_replay_reports_a_malformed_snapshot_field(snapshot_path, capsys, change, message):
@@ -402,6 +407,55 @@ def test_replay_of_a_garbage_collected_snapshot_names_a_key_per_differing_sectio
     assert sections == ["utility", "evidence", "successors", "state_seen"]
 
 
+def _keep_records(payload, kept):
+    """Only the records at the indices in ``kept``, with the model they rebuild: a log that verifies on its own."""
+    snapshot = loads_snapshot(json.dumps(payload))
+    config = config_from_dict(payload["config"])
+    rebuilt = rebuild_from_log([snapshot.log[i] for i in kept], config.learning_params(), strategy=config.strategy,
+                               window_size=config.window_size, successor_keying=config.successor_keying)
+    payload["log"] = [payload["log"][i] for i in kept]
+    payload["model"] = rebuilt.to_tables()
+
+
+def _set_ticks(payload, ticks):
+    payload["config"]["ticks"] = ticks
+    _refingerprint(payload)
+
+
+def _with_gc(payload):
+    payload["config"]["gc"].update(horizon=10, interval=10)
+    _refingerprint(payload)
+
+
+@pytest.mark.parametrize(
+    "change, lines",
+    [
+        (lambda p: _keep_records(p, range(25)),
+         ["log[-1].tick: 24 is not config.ticks - 1 = 59", "log: 25 records, config.ticks is 60"]),
+        (lambda p: _set_ticks(p, 1000),
+         ["log[-1].tick: 59 is not config.ticks - 1 = 999", "log: 60 records, config.ticks is 1000"]),
+        (lambda p: _set_ticks(p, 0),
+         ["log[-1].tick: 59 is not config.ticks - 1 = -1", "log: 60 records, config.ticks is 0"]),
+        (lambda p: _keep_records(p, [i for i in range(60) if i != 30]), ["log: 59 records, config.ticks is 60"]),
+        (lambda p: (_with_gc(p), _keep_records(p, range(25))), ["log[-1].tick: 24 is not config.ticks - 1 = 59"]),
+        (lambda p: (_with_gc(p), _keep_records(p, [])), ["log: 0 records, config.ticks is 60"]),
+    ],
+    ids=["log-cut-to-25", "config-ticks-1000", "config-ticks-0", "record-dropped-without-gc", "gc-log-cut-to-25",
+         "gc-log-empty"],
+)
+def test_replay_reports_a_log_that_does_not_cover_the_configured_run(snapshot_path, capsys, change, lines):
+    _tamper(snapshot_path, change)
+    capsys.readouterr()
+    assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_VERIFY
+    assert capsys.readouterr().err == "".join(f"mismatch: {line}\n" for line in lines)
+
+
+def test_replay_verifies_a_gc_config_whose_log_kept_fewer_records(snapshot_path, capsys):
+    _tamper(snapshot_path, lambda p: (_with_gc(p), _keep_records(p, [i for i in range(60) if i != 30])))
+    capsys.readouterr()
+    assert main(["replay", "--snapshot", str(snapshot_path)]) == EXIT_OK
+
+
 def test_replay_reports_malformed_snapshots_as_io_errors(tmp_path, capsys):
     path = tmp_path / "snapshot.json"
     path.write_text('{"version": 1}', encoding="utf-8")
@@ -484,6 +538,30 @@ def test_sweep_replaces_neither_table_if_the_summary_cannot_be_written(tmp_path,
     assert capsys.readouterr().err.startswith("i/o error:")
     assert (out / "sweep_runs.csv").read_bytes() == b"old runs\n"
     assert sorted(path.name for path in out.iterdir()) == ["sweep_runs.csv", "sweep_summary.csv"]  # no temporary file
+
+
+@pytest.mark.parametrize(
+    "command, first, second",
+    [("run", "metrics.csv", "snapshot.json"), ("sweep", "sweep_runs.csv", "sweep_summary.csv")],
+    ids=["run", "sweep"],
+)
+def test_a_first_target_that_is_a_directory_replaces_neither_file(tmp_path, profiles_path, capsys, command, first,
+                                                                   second):
+    config = write_json(tmp_path / "config.json", {"ticks": 20})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / first).mkdir()
+    (out / second).write_bytes(b"old\n")
+    argv = [command, "--config", config, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--profiles", profiles_path, "--seeds", "0"]
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err == f"i/o error: Is a directory: {str(out / first)!r}\n"
+    assert captured.out == ""
+    assert (out / second).read_bytes() == b"old\n"
+    assert not any((out / first).iterdir())
+    assert sorted(path.name for path in out.iterdir()) == [first, second]  # no temporary file
 
 
 def test_sweep_accepts_a_single_seed(tmp_path, profiles_path):
@@ -696,7 +774,7 @@ def test_sweep_rejects_learned_values_that_overflow_naming_the_profile_and_seed(
     code = main(["sweep", "--config", config, "--profiles", profiles, "--seeds", "0..1", "--out", str(out)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: profile 'huge' seed 0: {_LEARNING_FIELDS}: too large, ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_need_weights_whose_learned_values_stay_finite_still_run(tmp_path):

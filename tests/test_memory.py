@@ -26,11 +26,11 @@ from needagent.memory import (
     SnapshotError,
     SnapshotVersionError,
     TransitionRecord,
-    atomic_writer,
     dumps_snapshot,
     load_snapshot,
     loads_snapshot,
     save_snapshot,
+    write_files,
 )
 
 from conftest import SCHEMA, make_state, sharing
@@ -494,19 +494,41 @@ def test_a_canonical_snapshot_shares_one_state_per_tick():
     assert len(states) == 2001  # one state per tick, as in the live run
 
 
-def test_atomic_writer_replaces_the_file_only_when_complete(tmp_path):
-    path = tmp_path / "out.txt"
-    path.write_bytes(b"old bytes\n")
-    with pytest.raises(RuntimeError):
-        with atomic_writer(str(path)) as fh:
-            fh.write("partial ")
-            raise RuntimeError("interrupted")
-    assert path.read_bytes() == b"old bytes\n"
-    assert os.listdir(tmp_path) == ["out.txt"]
-    with atomic_writer(str(path)) as fh:
-        fh.write("new\n")
-    assert path.read_bytes() == b"new\n"
-    assert os.listdir(tmp_path) == ["out.txt"]
+def _old_pair(tmp_path):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_bytes(b"old first\n")
+    second.write_bytes(b"old second\n")
+    return first, second
+
+
+def test_write_files_replaces_every_file_and_leaves_no_temporary_file(tmp_path):
+    first, second = _old_pair(tmp_path)
+    write_files({str(first): "new\r\n", str(second): "\u00e9\n"})
+    assert first.read_bytes() == b"new\r\n"  # written as given, no newline translation
+    assert second.read_bytes() == "\u00e9\n".encode("utf-8")
+    assert sorted(os.listdir(tmp_path)) == ["first.txt", "second.txt"]
+
+
+def test_write_files_replaces_nothing_if_the_second_text_cannot_be_written(tmp_path):
+    first, second = _old_pair(tmp_path)
+    with pytest.raises(UnicodeEncodeError):
+        write_files({str(first): "new first\n", str(second): "\ud800"})  # a lone surrogate is not UTF-8
+    assert first.read_bytes() == b"old first\n"
+    assert second.read_bytes() == b"old second\n"
+    assert sorted(os.listdir(tmp_path)) == ["first.txt", "second.txt"]
+
+
+@pytest.mark.parametrize("directory", ["first", "second"])
+def test_write_files_replaces_nothing_if_a_target_is_a_directory(tmp_path, directory):
+    files = {"first": tmp_path / "first.txt", "second": tmp_path / "second.txt"}
+    files[directory].mkdir()
+    (other,) = (path for name, path in files.items() if name != directory)
+    other.write_bytes(b"old bytes\n")
+    with pytest.raises(IsADirectoryError, match=f"{directory}.txt"):
+        write_files({str(files["first"]): "new first\n", str(files["second"]): "new second\n"})
+    assert other.read_bytes() == b"old bytes\n"
+    assert files[directory].is_dir() and not any(files[directory].iterdir())
+    assert sorted(os.listdir(tmp_path)) == ["first.txt", "second.txt"]
 
 
 def test_save_snapshot_keeps_the_old_file_when_serialization_fails(tmp_path, monkeypatch):
@@ -654,4 +676,4 @@ def test_snapshot_writing_leaves_the_collector_as_it_found_it(enabled, tmp_path,
         with pytest.raises(ZeroDivisionError):
             harness.snapshot_from_run(result)
         assert gc.isenabled() is enabled
-    assert seen == [False, False]
+    assert seen == [False, False, False]  # the failing write builds its text before it opens a file
