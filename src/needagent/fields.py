@@ -79,6 +79,9 @@ def valid(test: Callable, message: str):
     return parse
 
 
+STRING = valid(lambda value: isinstance(value, str), "expected a string")
+
+
 def optional(parse: Callable):
     return lambda value: None if value is None else parse(value)
 

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence, get_type_hints
 
 from needagent.core import ActionCost, PriorityProfile, SchemaError, StateSchema, energy_spent
 from needagent.decision import DecisionPolicy, MODES, decide
-from needagent.fields import FieldError, choice, difference, items, number, optional, read, table, valid
+from needagent.fields import STRING, FieldError, choice, difference, items, number, optional, read, table, valid
 from needagent.memory import (
     EpisodeLog,
     HistoryWalk,
@@ -130,7 +130,7 @@ _FIELDS = (
     ("gc.horizon", "gc_horizon", optional(_float(0, low_open=True))),
     ("gc.min_trust", "gc_min_trust", number(int, 0)),
     ("gc.interval", "gc_interval", number(int, 0)),
-    ("out_dir", "out_dir", optional(valid(lambda v: isinstance(v, str), "expected a string"))),
+    ("out_dir", "out_dir", optional(STRING)),
 )
 _CONFIG = table(_FIELDS)
 
@@ -348,10 +348,14 @@ def garbage_collect(log: EpisodeLog, counts: dict[int, int], config: RunConfig, 
     A record is removed when all three hold: it lies outside the retention
     horizon (``latest_tick - tick >= gc.horizon``), its evidence in ``counts``
     is below ``gc.min_trust``, and it is not part of the open segment (the
-    records after the last explicit feedback, which global credit still
-    needs).  The first ``start`` records, and those inside the horizon, are
-    kept without a lookup.  Model tables are never touched.  Returns a new
-    log; the input is left intact.
+    records after the last explicit feedback).  Live credit reads
+    :class:`LearningDriver`'s own segment buffer, never the log, so that
+    clause decides only which records the log keeps.  It stays because
+    without it any config whose ``gc.horizon`` is shorter than an open
+    segment would keep other records, and so write other snapshot bytes.
+    The first ``start`` records, and those inside the horizon, are kept
+    without a lookup.  Model tables are never touched.  Returns a new log;
+    the input is left intact.
     """
     latest = log[-1].tick if log else 0
     last_feedback = next((rec.tick for rec in reversed(log) if rec.reinforcement_observed), -1)

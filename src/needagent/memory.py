@@ -18,7 +18,6 @@ import gc
 import json
 import math
 import os
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -26,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from needagent.core import FeelingVar, StateSchema, StateVector, UsageError, state_key
-from needagent.fields import FieldError, entries, items, number, optional, read, table, valid
+from needagent.fields import STRING, FieldError, entries, items, number, optional, read, table, valid
 
 SNAPSHOT_VERSION = 1
 
@@ -287,8 +286,7 @@ def _reject_constant(token: str):
 # One table of rows per snapshot object, as for the config.  Numbers are kept
 # as written, so a loaded snapshot re-encodes to the same bytes.
 _INTEGER, _NUMBER, _ACTION_CODES = number(int), number(float), items(number(int, 0, 1))
-_NUMBER_TYPES, _INTS, _BITS, _FLOAT_MAX = (int, float), frozenset((int,)), frozenset((0, 1)), sys.float_info.max
-_STRING = valid(lambda value: isinstance(value, str), "expected a string")
+_INTS, _BITS = frozenset((int,)), frozenset((0, 1))
 
 
 def _signed(levels) -> bool:
@@ -325,10 +323,10 @@ def _canonical_state(value) -> tuple | None:
 
 _STATE_VALUE = table(_STATE, required=True)
 _STATE_VALUE.every = lambda values: all(map(_canonical_state, values))
-_FEELING = table((("name", "name", _STRING), ("cardinality", "cardinality", _INTEGER)), FeelingVar, True)
+_FEELING = table((("name", "name", STRING), ("cardinality", "cardinality", _INTEGER)), FeelingVar, True)
 _SCHEMA = table(
-    (("feelings", "feelings", items(_FEELING)), ("actions", "actions", items(_STRING)),
-     ("needs", "needs", items(_STRING))),
+    (("feelings", "feelings", items(_FEELING)), ("actions", "actions", items(STRING)),
+     ("needs", "needs", items(STRING))),
     lambda feelings, actions, needs: StateSchema(tuple(feelings), tuple(actions), tuple(needs)),
     True,
 )
@@ -336,7 +334,7 @@ _SCHEMA = table(
 # difference.  Successor states are checked, not built.
 _MODEL = table((
     ("window_size", "window_size", _INTEGER),
-    ("successor_keying", "successor_keying", _STRING),
+    ("successor_keying", "successor_keying", STRING),
     ("utility", "utility", entries(entries(_NUMBER))),
     ("evidence", "evidence", entries(entries(_INTEGER))),
     ("successors", "successors", entries(entries(_STATE_VALUE))),
@@ -348,22 +346,26 @@ _SNAPSHOT = table((
     ("log", "log", valid(lambda value: type(value) is list, "expected a list")),  # the records are read by ``_log``
     ("model", "model_tables", _MODEL),
     ("config", "config", valid(lambda value: isinstance(value, dict), "expected an object")),
-    ("config_fingerprint", "config_fingerprint", _STRING),
+    ("config_fingerprint", "config_fingerprint", STRING),
 ), required=True)
 
 
 _RECORD_FIELDS = ("tick", "state", "chosen_action", "predicted_next", "reinforcement", "energy", "next_state")
-_RECORD_KEYS, _record = frozenset(_RECORD_FIELDS), itemgetter(*_RECORD_FIELDS)
+_RECORD_KEYS, _record, _RECORD_ATTRS = frozenset(_RECORD_FIELDS), itemgetter(*_RECORD_FIELDS), TransitionRecord._fields
 
 
 def _log(schema: StateSchema):
     """Parser for a log's records, whose states are built on ``schema``, in one pass that names the first fault
-    in log order.  A record in the shape ``dumps_snapshot`` writes is read straight; the record table reads only
-    one it rejected, to name its first bad field.  A canonical state (:func:`_canonical_state`) that ``==`` the
-    one read last at its tick is that same object, as in a live run: a record's state is the previous one's next
-    state, and a prediction is a stored successor.  Any other state is read by the state table, never shared."""
-    parse = table(_STATE, lambda f, a, y, tick: StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick),
-                  True)
+    in log order.  One parser per record field reads a record in the shape ``dumps_snapshot`` writes, called in
+    record order; the record table runs the same parsers only on a record they rejected, to name its first bad
+    field.  A canonical state (:func:`_canonical_state`) that ``==`` the one read last at its tick is that same
+    object, as in a live run: a record's state is the previous one's next state, and a prediction is a stored
+    successor.  Any other state is read by the state table, never shared."""
+
+    def build(f, a, y, tick) -> StateVector:
+        return StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
+
+    parse = table(_STATE, build, True)
     seen = {}  # tick -> the canonical value read last at that tick, and its state
 
     def state(value) -> StateVector:
@@ -374,21 +376,18 @@ def _log(schema: StateSchema):
         if earlier is not None and value == earlier[0]:
             return earlier[1]
         try:  # the schema's lengths and ranges
-            built = StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
+            built = build(f, a, y, tick)
         except ValueError as exc:
             raise FieldError(str(exc)) from exc
         seen[tick] = value, built
         return built
 
-    row = table((
-        ("tick", "tick", number(int, 0)),
-        ("state", "state", state),
-        ("chosen_action", "chosen_action", lambda value: tuple(map(bool, _ACTION_CODES(value)))),
-        ("predicted_next", "predicted_next", optional(state)),
-        ("reinforcement", "reinforcement_observed", _NUMBER),
-        ("energy", "energy", _NUMBER),
-        ("next_state", "next_state", state),
-    ), TransitionRecord, True)
+    def action_of(value) -> tuple[bool, ...]:
+        return tuple(map(bool, _ACTION_CODES(value)))
+
+    tick_of, maybe_state = number(int, 0), optional(state)
+    parsers = tick_of, state, action_of, maybe_state, _NUMBER, _NUMBER, state  # in record order
+    row = table(zip(_RECORD_FIELDS, _RECORD_ATTRS, parsers), TransitionRecord, True)
 
     def records(log: list) -> list[TransitionRecord]:
         out, last = [], -math.inf
@@ -397,16 +396,11 @@ def _log(schema: StateSchema):
                 rec = None
                 if type(value) is dict and value.keys() == _RECORD_KEYS:
                     tick, now, chosen, predicted, feedback, energy, after = _record(value)
-                    if (type(tick) is int and tick >= 0 and type(chosen) is list
-                            and _INTS.issuperset(map(type, chosen)) and _BITS.issuperset(chosen)
-                            and type(feedback) in _NUMBER_TYPES
-                            and type(energy) in _NUMBER_TYPES and max(abs(feedback), abs(energy)) <= _FLOAT_MAX):
-                        try:  # states in the table's order, which decides what is shared
-                            rec = TransitionRecord(tick, state(now), tuple(map(bool, chosen)),
-                                                   None if predicted is None else state(predicted), feedback,
-                                                   energy, state(after))
-                        except FieldError:
-                            pass
+                    try:  # in record order, which decides which states are shared
+                        rec = TransitionRecord(tick_of(tick), state(now), action_of(chosen), maybe_state(predicted),
+                                               _NUMBER(feedback), _NUMBER(energy), state(after))
+                    except FieldError:
+                        pass
                 if rec is None:
                     rec = row(value)  # raises the record's first bad field, named by its path
                 if rec.tick <= last:

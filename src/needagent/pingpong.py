@@ -109,8 +109,8 @@ def build_constraints(schema: StateSchema) -> ConstraintMatrices:
     )
 
 
-def build_action_cost(schema: StateSchema, cost_per_move: float = 1.0) -> ActionCost:
-    return ActionCost(costs=(cost_per_move,) * len(schema.actions))
+def build_action_cost(schema: StateSchema) -> ActionCost:
+    return ActionCost(costs=(1.0,) * len(schema.actions))
 
 
 class EnvStep(NamedTuple):
@@ -151,7 +151,7 @@ class PingPong:
         self._ticks_since_hit = 0
         self._sad_raw = 0.0
         self._pending: list[tuple[int, float]] = []  # (due tick, feedback value)
-        return self._sense(action=(False,) * len(ACTION_NAMES), feedback=0.0, predicted=None)
+        return self._sense(action=(False,) * len(ACTION_NAMES), predicted=None)
 
     def _serve(self) -> None:
         assert self._rng is not None
@@ -225,9 +225,7 @@ class PingPong:
         else:
             self._sad_raw *= SAD_DECAY_FACTOR
 
-        state = self._sense(
-            action=action, feedback=feedback, predicted=predicted, novelty=novelty
-        )
+        state = self._sense(action=action, predicted=predicted, novelty=novelty)
         return EnvStep(state, feedback, energy_spent(action, self._cost), event)
 
     def _queue_feedback(self, value: float) -> None:
@@ -246,7 +244,6 @@ class PingPong:
     def _sense(
         self,
         action: tuple[bool, ...],
-        feedback: float,
         predicted: StateVector | None,
         novelty: Callable[[str], float] | None = None,
     ) -> StateVector:

@@ -270,6 +270,7 @@ def _two_faults(payload):
         (lambda p: p["log"][0].__setitem__("tick", False), "log[0].tick: expected an integer, got False"),
         (lambda p: p["log"][0].__setitem__("tick", -5), "log[0].tick: must be >= 0"),
         (lambda p: p["log"][0]["chosen_action"].__setitem__(1, 5), "log[0].chosen_action[1]: must be in [0, 1]"),
+        (lambda p: p["log"][0]["chosen_action"].__setitem__(1, 2), "log[0].chosen_action[1]: must be in [0, 1]"),
         (
             lambda p: p["log"][0]["chosen_action"].__setitem__(1, True),
             "log[0].chosen_action[1]: expected an integer, got True",
@@ -305,7 +306,8 @@ def _two_faults(payload):
         "successors-row-list", "utility-string", "state-seen-string", "state-seen-list",
         "window-size-string", "successor-keying-number",
         "model-unknown-key", "top-level-unknown-key", "schema-duplicate-names", "version-bool", "tick-bool",
-        "tick-negative", "action-code-five", "action-code-bool", "state-action-code-five", "predicted-feeling-float",
+        "tick-negative", "action-code-five", "action-code-two", "action-code-bool", "state-action-code-five",
+        "predicted-feeling-float",
         "need-level-bool", "state-tick-bool", "state-tick-float", "successor-feeling-bool",
         "need-level-negative-zero", "tick-not-increasing", "log-object", "two-faults-first-named",
         "version-zero", "version-negative",

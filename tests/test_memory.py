@@ -588,6 +588,26 @@ def test_snapshot_codec_runs_with_the_collector_paused(monkeypatch):
     assert seen == [("record_to_dict", False)] * 3 + [("TransitionRecord", False)] * 3
 
 
+def test_a_clean_load_builds_every_record_straight(monkeypatch):
+    config = {"ticks": 300, "window_size": 3, "board": {"feedback_delay": 1},
+              "learning": {"predictability_weight": 0.5}, "gc": {"horizon": 20, "interval": 25, "min_trust": 3}}
+    texts = [dumps_snapshot(make_snapshot()),
+             dumps_snapshot(harness.snapshot_from_run(harness.run(harness.config_from_dict(config))))]
+    keyword_calls = []
+    record = memory.TransitionRecord
+
+    def spy(*args, **kwargs):
+        keyword_calls.append(bool(kwargs))
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(memory, "TransitionRecord", spy)
+    for text in texts:
+        keyword_calls.clear()
+        log = loads_snapshot(text).log
+        assert keyword_calls == [False] * len(log)  # never the record table's ``build(**values)``
+    assert len(log) < 300  # the run's log has GC gaps
+
+
 def _run_snapshot() -> MemorySnapshot:
     return harness.snapshot_from_run(harness.run(harness.RunConfig(ticks=60)))
 

@@ -1,33 +1,35 @@
 """Whole-run metamorphic relations: two runs that must agree, compared with ``==``.
 
-Neither relation needs a reference implementation.  Scaling every weight by
+No relation needs a reference implementation.  Scaling every weight by
 a power of two scales every learned utility exactly and changes no decision.
 Garbage collection forgets log records but never touches the model, so it
-changes no decision either.
+changes no decision either.  A sweep runs each profile on its own, so the
+order of its profiles changes no label's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needagent.core import PriorityProfile
 from needagent.decision import MODES
-from needagent.harness import RunConfig, metrics_to_csv, run
+from needagent.harness import RunConfig, metrics_to_csv, run, sweep
 from needagent.model import STRATEGIES, SUCCESSOR_KEYINGS
 from needagent.pingpong import BoardConfig
 
 _WEIGHT = st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0])
+_PROFILE = st.builds(PriorityProfile, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT), st.sampled_from([0.0, 0.1, 0.5]))
 
 configs = st.builds(
     RunConfig,
     seed=st.integers(0, 2**16),
     ticks=st.integers(0, 300),
     board=st.builds(BoardConfig, feedback_delay=st.integers(0, 2)),
-    profile=st.builds(PriorityProfile, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT),
-                      st.sampled_from([0.0, 0.1, 0.5])),
+    profile=_PROFILE,
     strategy=st.sampled_from(STRATEGIES),
     window_size=st.integers(1, 3),
     policy_mode=st.sampled_from(MODES),
@@ -65,3 +67,14 @@ def test_garbage_collection_changes_only_the_log(config, horizon, min_trust, int
     assert collected.model.to_tables() == full.model.to_tables()
     remaining = iter(full.log)
     assert all(rec in remaining for rec in collected.log)  # a subsequence: ``in`` consumes the iterator
+
+
+@settings(max_examples=10, deadline=None)
+@given(config=configs, profiles=st.lists(_PROFILE, min_size=2, max_size=3),
+       seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=2, unique=True))
+def test_sweep_rows_per_label_do_not_depend_on_profile_order(config, profiles, seeds):
+    labelled = [(f"p{i}", profile) for i, profile in enumerate(profiles)]
+    forward, backward = sweep(config, labelled, seeds), sweep(config, labelled[::-1], seeds)
+    by_label = attrgetter("profile_label")
+    for rows, reversed_rows in zip(forward, backward):  # the runs, then the summaries
+        assert sorted(rows, key=by_label) == sorted(reversed_rows, key=by_label)

@@ -85,7 +85,6 @@ def test_constraints_forbid_moving_both_ways():
 def test_action_cost_prices_each_move():
     schema = build_schema(BoardConfig())
     assert build_action_cost(schema).costs == (1.0, 1.0)
-    assert build_action_cost(schema, cost_per_move=0.5).costs == (0.5, 0.5)
 
 
 def test_quantize_snaps_to_the_level_grid():
