@@ -59,12 +59,14 @@ class StateSchema:
     actions: tuple[str, ...]
     needs: tuple[str, ...]
     width: int = field(init=False, repr=False, compare=False)
+    keys: dict[str, str] = field(init=False, repr=False, compare=False)  # each state key made on it, kept once
 
     def __post_init__(self) -> None:
         names = self.variable_names()
         if len(set(names)) != len(names):
             raise SchemaError("variable names must be unique across partitions")
         object.__setattr__(self, "width", len(names))
+        object.__setattr__(self, "keys", {})
 
     def variable_names(self) -> tuple[str, ...]:
         """All variable names in canonical order: feelings, actions, needs."""
@@ -84,8 +86,8 @@ class StateVector:
 
     ``tick`` is bookkeeping, not a state variable: two states observed at
     different ticks with identical partitions are the same situation.
-    ``key`` is its fragment of :func:`state_key`, the :func:`feeling_key` of
-    its codes as given: ``1``, ``1.0`` and ``True`` encode to different strings.
+    ``key`` is its fragment of :func:`state_key`, the :func:`feeling_key` of its codes as given (``1``,
+    ``1.0`` and ``True`` encode to different strings), kept once in ``schema.keys`` so its states share it.
     """
 
     schema: StateSchema
@@ -119,7 +121,8 @@ class StateVector:
                 raise SchemaError(f"need {name!r}: level {level} outside [0, 1]")
         if self.tick < 0:
             raise SchemaError(f"tick must be >= 0, got {self.tick}")
-        object.__setattr__(self, "key", feeling_key(self.feelings))
+        key = feeling_key(self.feelings)
+        object.__setattr__(self, "key", sch.keys.setdefault(key, key))
 
     def values(self) -> tuple[float, ...]:
         """Concatenated variable values in canonical order."""

@@ -263,14 +263,11 @@ def run(config: RunConfig) -> RunResult:
     trusted_below = 0  # GC frontier: every record before this tick is trusted for good
     gc_interval = config.gc_interval if config.gc_horizon is not None else 0  # 0: no GC
 
-    for tick in range(config.ticks):
+    for _ in range(config.ticks):
         decision = decide(model, window, constraints, policy, rng)
-        outcome = env.step(
-            decision.chosen_action,
-            predicted=decision.expected_state,
-            novelty=novelty_of,
-        )
-        record = TransitionRecord(tick, state, decision.chosen_action, decision.expected_state,
+        outcome = env.step(decision.chosen_action, predicted=decision.expected_state, novelty=novelty_of)
+        # Ticks come from the states: a run keeps every record and row, so a new int for each would stay too.
+        record = TransitionRecord(state.tick, state, decision.chosen_action, decision.expected_state,
                                   outcome.feedback, outcome.energy, outcome.state)
         log.append(record)
         driver.ingest(record)
@@ -285,12 +282,12 @@ def run(config: RunConfig) -> RunResult:
             recent_hits += hit
             rolling = recent_hits / len(recent_events)
         # The four need levels are the happy, sad, novelty and expectedness columns.
-        metrics.append(MetricsRow(tick + 1, *outcome.state.needs, outcome.feedback, cumulative_hits,
+        metrics.append(MetricsRow(outcome.state.tick, *outcome.state.needs, outcome.feedback, cumulative_hits,
                                   cumulative_misses, rolling, decision.explored, outcome.energy))
 
         state = outcome.state
         window = driver.window
-        if gc_interval and (tick + 1) % gc_interval == 0:
+        if gc_interval and state.tick % gc_interval == 0:
             log, trusted_below = run_garbage_collection(log, model, config, trusted_below)
 
     for hk, row in model.utility.items():

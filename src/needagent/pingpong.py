@@ -133,6 +133,7 @@ class PingPong:
         self._rng: Random | None = None
         # A need channel takes few distinct raw values, so each is snapped once.
         self._snap = cache(partial(quantize, levels=config.need_levels))
+        self._feelings, self._needs = {}, {}  # each tuple sensed, kept once; see _sense
 
     def schema(self) -> StateSchema:
         return self._schema
@@ -247,6 +248,8 @@ class PingPong:
         predicted: StateVector | None,
         novelty: Callable[[str], float] | None = None,
     ) -> StateVector:
+        """The sensed state.  A run senses few distinct feeling and need tuples, so its states share one tuple
+        per value.  Each partition has its own dict, since ``(1, 0, 0, 0) == (1.0, 0.0, 0.0, 0.0)``."""
         feelings = (
             self.ball_col,
             self.ball_row,
@@ -263,7 +266,8 @@ class PingPong:
         expectedness_raw = 1.0 - _observable_similarity(predicted, feelings, action)
         snap = self._snap
         needs = (snap(happy_raw), snap(self._sad_raw), snap(novelty_raw), snap(expectedness_raw))
-        return StateVector(self._schema, feelings, action, needs, self._tick)
+        return StateVector(self._schema, self._feelings.setdefault(feelings, feelings), action,
+                           self._needs.setdefault(needs, needs), self._tick)
 
 
 def _observable_similarity(

@@ -26,7 +26,7 @@ from needagent.harness import (
     snapshot_from_run,
     verify_snapshot,
 )
-from needagent.memory import SnapshotError, dumps_snapshot, loads_snapshot
+from needagent.memory import SnapshotError, dumps_snapshot, loads_snapshot, record_to_dict, schema_to_dict
 
 # Any JSON value, NaN and the infinities included: ``json.load`` accepts
 # them in config files, and they reach ``loads_snapshot`` as bare tokens.
@@ -212,6 +212,40 @@ def test_a_near_miss_loads_as_written_or_not_at_all(payload):
 
 def test_the_unmutated_snapshot_verifies():
     assert verify_snapshot(loads_snapshot(json.dumps(_SNAPSHOT))) == []
+
+
+def _whole_tree(snapshot) -> str:
+    """The snapshot text as one ``json.dumps`` of the whole payload tree: the reference for ``dumps_snapshot``,
+    which encodes section by section and record by record."""
+    payload = {
+        "version": snapshot.version,
+        "schema": schema_to_dict(snapshot.schema),
+        "log": [record_to_dict(rec) for rec in snapshot.log],
+        "model": snapshot.model_tables,
+        "config": snapshot.config,
+        "config_fingerprint": snapshot.config_fingerprint,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+@settings(_FUZZ, max_examples=300)
+@given(payload=mutations(_SNAPSHOT) | near_misses(_SNAPSHOT))
+def test_a_loadable_snapshot_dumps_as_its_whole_tree(payload):
+    try:
+        snapshot = loads_snapshot(json.dumps(payload))
+    except SnapshotError:
+        return
+    assert dumps_snapshot(snapshot) == _whole_tree(snapshot)
+
+
+def test_a_collected_window_run_dumps_as_its_whole_tree():
+    config = {"ticks": 600, "window_size": 3, "board": {"feedback_delay": 2},
+              "learning": {"predictability_weight": 0.5}, "gc": {"horizon": 20, "interval": 25, "min_trust": 3}}
+    snapshot = snapshot_from_run(run(config_from_dict(config)))
+    ticks = [rec.tick for rec in snapshot.log]
+    assert ticks != list(range(ticks[0], ticks[0] + len(ticks)))  # GC left gaps
+    assert any(rec.predicted_next is not None for rec in snapshot.log)
+    assert dumps_snapshot(snapshot) == _whole_tree(snapshot)
 
 
 _HEADER = ",".join(CSV_COLUMNS)

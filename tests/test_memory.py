@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import os
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -415,6 +416,20 @@ def test_dumps_snapshot_refuses_non_finite_values():
         dumps_snapshot(snap)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["reinforcement", "energy", "utility"])
+def test_dumps_snapshot_refuses_a_non_finite_number_in_any_section(where, value):
+    snap = make_snapshot()
+    if where == "utility":
+        snap.model_tables["utility"]["0,0"]["1,0"] = value
+    else:
+        records = snap.log[:]
+        records[1] = records[1]._replace(**{"reinforcement_observed" if where == "reinforcement" else where: value})
+        snap = dataclasses.replace(snap, log=EpisodeLog(records))
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        dumps_snapshot(snap)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("energy", '"x"'), ("reinforcement", "[1]"), ("energy", "1e999"), ("reinforcement", "1" + "0" * 400)],
@@ -697,3 +712,35 @@ def test_snapshot_writing_leaves_the_collector_as_it_found_it(enabled, tmp_path,
             harness.snapshot_from_run(result)
         assert gc.isenabled() is enabled
     assert seen == [False, False, False]  # the failing write builds its text before it opens a file
+
+
+# ----------------------------------------------------------------------
+# memory footprint of a long run and of its snapshot text
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=[{}, {"window_size": 3, "board": {"feedback_delay": 2}}],
+                ids=["default", "window3-delay2"])
+def long_run(request):
+    return harness.run(harness.config_from_dict({"ticks": 3000, **request.param}))
+
+
+def test_dumps_snapshot_peaks_below_four_times_its_text(long_run):
+    snapshot = harness.snapshot_from_run(long_run)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = dumps_snapshot(snapshot)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # A whole payload tree encoded at once peaked at 9.35x (default) and 6.65x (window 3) the text.
+    assert peak < 4 * len(text), peak / len(text)
+
+
+def test_a_run_keeps_each_sensed_value_once(long_run):
+    states = [s for rec in long_run.log for s in (rec.state, rec.next_state)]
+    for name in ("feelings", "needs", "key"):
+        values = [getattr(s, name) for s in states]
+        assert len(set(map(id, values))) == len(set(values)), name
+    assert all(rec.tick is rec.state.tick for rec in long_run.log)
