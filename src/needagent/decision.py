@@ -40,19 +40,12 @@ class DecisionPolicy:
 
     ``prospected`` maximizes utility x probability, ``utility-only`` ignores
     probability, ``lexicographic`` ranks by utility and uses probability only
-    to split utility ties.
+    to split utility ties.  The config reader checks both fields; a direct
+    constructor trusts its caller.
     """
 
     mode: str = MODE_PROSPECTED
     exploration_rate: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise DecisionError(f"unknown policy mode {self.mode!r}")
-        if not 0.0 <= self.exploration_rate <= 1.0:
-            raise DecisionError(
-                f"exploration_rate must be in [0, 1], got {self.exploration_rate}"
-            )
 
 
 class Decision(NamedTuple):

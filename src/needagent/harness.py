@@ -110,14 +110,15 @@ def _weights(value) -> tuple[float, ...]:
 # One row per config field: (config-file path, RunConfig attribute, parser).
 # A dotted path is a field inside a section object; a dotted attribute is a
 # field of a nested record.  Absent fields keep their ``RunConfig()`` value.
+# Every bound on one field is stated here and only here; what a config builds trusts it.
 _FIELDS = (
     ("seed", "seed", number(int)),
     ("ticks", "ticks", number(int, 0)),
-    ("board.width", "board.width", number(int)),
-    ("board.height", "board.height", number(int)),
-    ("board.racket_width", "board.racket_width", number(int)),
-    ("board.feedback_delay", "board.feedback_delay", number(int)),
-    ("board.need_levels", "board.need_levels", number(int)),
+    ("board.width", "board.width", number(int, 2)),
+    ("board.height", "board.height", number(int, 2)),
+    ("board.racket_width", "board.racket_width", number(int, 1)),
+    ("board.feedback_delay", "board.feedback_delay", number(int, 0)),
+    ("board.need_levels", "board.need_levels", number(int, 1)),
     ("profile.weights", "profile.weights", _weights),
     ("profile.energy_weight", "profile.energy_weight", _float(0)),
     ("strategy", "strategy", choice(STRATEGIES)),

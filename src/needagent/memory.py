@@ -103,8 +103,6 @@ class HistoryWindow:
     key: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise UsageError(f"window capacity must be >= 1, got {self.capacity}")
         if len(self.states) > self.capacity:
             raise UsageError(
                 f"window holds {len(self.states)} states, capacity {self.capacity}"
@@ -112,8 +110,7 @@ class HistoryWindow:
         _set(self, "key", state_key(self.states) if self.states else None)
 
     def push(self, state: StateVector) -> "HistoryWindow":
-        """New window with ``state`` appended and the oldest entry dropped;
-        the capacity was checked when this one was made."""
+        """New window with ``state`` appended and the oldest entry dropped."""
         window = object.__new__(HistoryWindow)
         states = (self.states + (state,))[-self.capacity :]
         _set(window, "capacity", self.capacity)

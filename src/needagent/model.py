@@ -45,16 +45,13 @@ class LearningParams:
     ``utility_step`` is the blend rate in ``(0, 1]``: 1 overwrites, smaller
     values average.  ``predictability_weight`` rewards transitions that match
     the agent's own prediction; the profile's ``energy_weight`` charges for
-    effort.
+    effort.  The config reader checks these fields; a direct constructor
+    trusts its caller.
     """
 
     priority: PriorityProfile
     utility_step: float = 1.0
     predictability_weight: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.utility_step <= 1.0:
-            raise UsageError(f"utility_step must be in (0, 1], got {self.utility_step}")
 
 
 class Prospect(NamedTuple):
@@ -74,14 +71,12 @@ class TransitionModel:
     ``successor_keying`` selects what identifies a successor in the utility
     and evidence tables: the full successor state, or only its action
     sub-vector (which collapses the tables to history x action).  The
-    successor index always stores full states.
+    successor index always stores full states.  The config reader checks
+    ``window_size`` and ``successor_keying``; a direct constructor trusts its
+    caller.
     """
 
     def __init__(self, window_size: int = 1, successor_keying: str = SUCCESSOR_KEYING_STATE) -> None:
-        if window_size < 1:
-            raise UsageError(f"window_size must be >= 1, got {window_size}")
-        if successor_keying not in SUCCESSOR_KEYINGS:
-            raise UsageError(f"unknown successor keying {successor_keying!r}")
         self.window_size = window_size
         self.successor_keying = successor_keying
         self.utility: dict[str, dict[str, float]] = {}
@@ -275,8 +270,6 @@ class LearningDriver:
     """
 
     def __init__(self, model: TransitionModel, params: LearningParams, strategy: str) -> None:
-        if strategy not in STRATEGIES:
-            raise UsageError(f"unknown learning strategy {strategy!r}")
         self.model = model
         self.params = params
         self.strategy = strategy

@@ -65,15 +65,12 @@ class BoardConfig:
     need_levels: int = 10
 
     def __post_init__(self) -> None:
-        for name, low in (("width", 2), ("height", 2), ("feedback_delay", 0), ("need_levels", 1)):
-            if getattr(self, name) < low:
-                raise SchemaError(f"board.{name} must be >= {low}, got {getattr(self, name)}")
-        if not 1 <= self.racket_width <= self.width:
-            raise SchemaError(f"board.racket_width must be in [1, {self.width}], got {self.racket_width}")
+        if self.racket_width > self.width:
+            raise SchemaError(f"board.racket_width: must be <= board.width = {self.width}, got {self.racket_width}")
         try:
             float(self.need_levels)  # quantize scales by it as a float
         except OverflowError:
-            raise SchemaError("board.need_levels is too large to convert to a float") from None
+            raise SchemaError("board.need_levels: too large to convert to a float") from None
 
     @property
     def racket_positions(self) -> int:

@@ -355,6 +355,12 @@ def _nudge_a_utility(payload):
     row[next(iter(row))] += 5e-13
 
 
+def _move_the_ball_of_log_6(payload):
+    # Another in-range column of the 6-wide board, so the state itself still parses.
+    feelings = payload["log"][6]["state"]["f"]
+    feelings[0] = (feelings[0] + 1) % 6
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -362,8 +368,12 @@ def _nudge_a_utility(payload):
         (lambda p: p["log"][10]["state"].__setitem__("tick", 9999), "log[10].state.tick: 9999 is not"),
         (lambda p: p["log"][10].__setitem__("energy", 42.0), "log[10].energy: 42.0 is not the cost"),
         (_nudge_a_utility, "model.utility["),
+        (lambda p: p["log"][5]["next_state"].__setitem__("tick", 9),
+         "log[5].next_state.tick: 9 is not the record's tick + 1"),
+        (_move_the_ball_of_log_6, "log[6].state: differs from log[5].next_state"),
     ],
-    ids=["chosen-action-flipped", "state-tick-9999", "energy-42", "utility-plus-5e-13"],
+    ids=["chosen-action-flipped", "state-tick-9999", "energy-42", "utility-plus-5e-13", "next-state-tick",
+         "state-differs-from-previous"],
 )
 def test_replay_reports_a_broken_log_invariant_as_a_mismatch(snapshot_path, capsys, change, message):
     _tamper(snapshot_path, change)
@@ -785,3 +795,53 @@ def test_need_weights_whose_learned_values_stay_finite_still_run(tmp_path):
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest("metrics.csv") == "ea745ca6fca95b38b871722178640b898b8e587eed6a9f18deaffed5799fe4f7"
     assert digest("snapshot.json") == "839a22d3415b26898743f4468f590eb6a21136174a0c40cdd2aeb666fac0208c"
+
+
+# ----------------------------------------------------------------------
+# each config bound at its edge
+# ----------------------------------------------------------------------
+
+_TINY = 5e-324  # the least positive float
+_PAST_ONE = 1.0000000000000002  # the next float above 1
+
+# (field, the value at its bound, the value one step past it).  Every other
+# field keeps its default but for 20 ticks of garbage collection, which the
+# gc rows need.
+_EDGES = [
+    ("ticks", 0, -1),
+    ("board.width", 2, 1),
+    ("board.height", 2, 1),
+    ("board.racket_width", 1, 0),
+    ("board.racket_width", 6, 7),  # the default width: the one cross-field rule
+    ("board.feedback_delay", 0, -1),
+    ("board.need_levels", 1, 0),
+    ("profile.energy_weight", 0.0, -_TINY),
+    ("window_size", 1, 0),
+    ("policy.exploration_rate", 0.0, -_TINY),
+    ("policy.exploration_rate", 1.0, _PAST_ONE),
+    ("learning.utility_step", 1.0, _PAST_ONE),
+    ("learning.utility_step", _TINY, 0.0),
+    ("learning.predictability_weight", 0.0, -_TINY),
+    ("gc.horizon", _TINY, 0.0),
+    ("gc.min_trust", 0, -1),
+    ("gc.interval", 0, -1),
+]
+
+
+def _edge_config(tmp_path, field, value):
+    config = {"ticks": 20, "gc": {"horizon": 4.0, "interval": 5}}
+    section, _, key = field.rpartition(".")
+    (config.setdefault(section, {}) if section else config)[key] = value
+    return write_json(tmp_path / "config.json", config)
+
+
+@pytest.mark.parametrize("field, edge, past", _EDGES, ids=[f"{field}={edge!r}" for field, edge, _ in _EDGES])
+def test_each_config_bound_runs_at_its_edge_and_is_a_config_error_past_it(tmp_path, capsys, field, edge, past):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _edge_config(tmp_path, field, edge), "--out", str(out)]) == EXIT_OK
+    assert main(["replay", "--snapshot", str(out / "snapshot.json")]) == EXIT_OK
+    capsys.readouterr()
+    past_out = tmp_path / "past"
+    assert main(["run", "--config", _edge_config(tmp_path, field, past), "--out", str(past_out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+    assert not past_out.exists()

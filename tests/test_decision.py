@@ -55,20 +55,6 @@ def observed_model(entries, successor_keying: str = "state") -> tuple[Transition
 
 
 # ----------------------------------------------------------------------
-# policy and scoring
-# ----------------------------------------------------------------------
-
-
-def test_policy_validates_mode_and_rate():
-    with pytest.raises(DecisionError):
-        DecisionPolicy(mode="bogus")
-    with pytest.raises(DecisionError):
-        DecisionPolicy(exploration_rate=1.5)
-    with pytest.raises(DecisionError):
-        DecisionPolicy(exploration_rate=-0.1)
-
-
-# ----------------------------------------------------------------------
 # candidate enumeration
 # ----------------------------------------------------------------------
 

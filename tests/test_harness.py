@@ -72,6 +72,18 @@ def test_config_round_trips_through_its_dict_form():
         assert config_from_dict(config_to_dict(config)) == config
 
 
+def test_every_config_field_has_exactly_one_row():
+    # A field without a row would drop out of config_to_dict and the fingerprint, unvalidated and unnoticed.
+    attrs = []
+    for outer in dataclasses.fields(RunConfig):
+        default = getattr(RunConfig(), outer.name)
+        if dataclasses.is_dataclass(default):
+            attrs += [f"{outer.name}.{inner.name}" for inner in dataclasses.fields(default)]
+        else:
+            attrs.append(outer.name)
+    assert sorted(attr for _, attr, _ in harness._FIELDS) == sorted(attrs)
+
+
 @pytest.mark.parametrize(
     "data, field",
     [
@@ -101,6 +113,11 @@ def test_config_round_trips_through_its_dict_form():
         ({"profile": {"weights": [-1e999, 0.5, 0.1, 0.1]}}, "profile.weights[0]"),
         ({"profile": {"energy_weight": float("nan")}}, "profile.energy_weight"),
         ({"gc": {"horizon": 0}}, "gc.horizon"),
+        ({"board": {"height": 1}}, "board.height"),
+        ({"board": {"racket_width": 0}}, "board.racket_width"),
+        ({"board": {"racket_width": 7}}, "board.racket_width"),
+        ({"board": {"feedback_delay": -1}}, "board.feedback_delay"),
+        ({"board": {"need_levels": 0}}, "board.need_levels"),
     ],
 )
 def test_config_errors_name_the_offending_field(data, field):

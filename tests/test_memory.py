@@ -67,11 +67,6 @@ def test_a_record_is_slotted():
 # ----------------------------------------------------------------------
 
 
-def test_window_capacity_must_be_positive():
-    with pytest.raises(UsageError):
-        HistoryWindow(0)
-
-
 def test_window_push_returns_a_new_window():
     w0 = HistoryWindow(2)
     w1 = w0.push(make_state(pos=1))

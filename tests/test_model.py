@@ -62,20 +62,6 @@ def make_record(
 # ----------------------------------------------------------------------
 
 
-def test_learning_params_validate_the_step():
-    with pytest.raises(UsageError):
-        make_params(step=0.0)
-    with pytest.raises(UsageError):
-        make_params(step=1.5)
-
-
-def test_model_validates_window_size_and_keying():
-    with pytest.raises(UsageError):
-        TransitionModel(window_size=0)
-    with pytest.raises(UsageError):
-        TransitionModel(successor_keying="bogus")
-
-
 def test_observe_rejects_windows_outside_the_depth():
     model = TransitionModel(window_size=2)
     with pytest.raises(UsageError):
@@ -390,11 +376,6 @@ def test_novelty_ignores_needs_and_actions():
 # ----------------------------------------------------------------------
 # driver and rebuild
 # ----------------------------------------------------------------------
-
-
-def test_driver_rejects_unknown_strategies():
-    with pytest.raises(UsageError):
-        LearningDriver(TransitionModel(), make_params(), "bogus")
 
 
 def test_transition_map_strategy_also_learns_per_step():

@@ -45,18 +45,9 @@ def place(env: PingPong, col: int, row: int, dcol: int, drow: int, racket: int) 
 
 
 def test_board_config_validation():
-    with pytest.raises(SchemaError):
-        BoardConfig(width=1)
-    with pytest.raises(SchemaError):
-        BoardConfig(height=1)
-    with pytest.raises(SchemaError):
-        BoardConfig(racket_width=0)
+    # Single-field bounds are the config reader's; the board keeps the cross-field rule.
     with pytest.raises(SchemaError):
         BoardConfig(racket_width=7)
-    with pytest.raises(SchemaError):
-        BoardConfig(feedback_delay=-1)
-    with pytest.raises(SchemaError):
-        BoardConfig(need_levels=0)
 
 
 def test_racket_positions():
