@@ -329,8 +329,6 @@ def state_key(window: Sequence[StateVector]) -> str:
     """
     if not window:
         raise UsageError("state_key requires at least one state")
-    if len(window) == 1:
-        return window[0].key
     return "|".join([s.key for s in window])
 
 

@@ -259,7 +259,6 @@ def run(config: RunConfig) -> RunResult:
     cumulative_hits = 0
     cumulative_misses = 0
     recent_events: deque[int] = deque(maxlen=ROLLING_WINDOW_EVENTS)
-    recent_hits = 0  # the hits among recent_events
     rolling = 0.0
     trusted_below = 0  # GC frontier: every record before this tick is trusted for good
     gc_interval = config.gc_interval if config.gc_horizon is not None else 0  # 0: no GC
@@ -277,11 +276,8 @@ def run(config: RunConfig) -> RunResult:
             hit = int(outcome.feedback > 0)
             cumulative_hits += hit
             cumulative_misses += 1 - hit
-            if len(recent_events) == ROLLING_WINDOW_EVENTS:
-                recent_hits -= recent_events[0]  # the event the append evicts
             recent_events.append(hit)
-            recent_hits += hit
-            rolling = recent_hits / len(recent_events)
+            rolling = sum(recent_events) / len(recent_events)
         # The four need levels are the happy, sad, novelty and expectedness columns.
         metrics.append(MetricsRow(outcome.state.tick, *outcome.state.needs, outcome.feedback, cumulative_hits,
                                   cumulative_misses, rolling, decision.explored, outcome.energy))

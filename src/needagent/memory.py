@@ -90,9 +90,6 @@ class Segment:
         return self.terminal_reinforcement is not None
 
 
-_set = object.__setattr__
-
-
 @dataclass(frozen=True, slots=True)
 class HistoryWindow:
     """The most recent states, oldest first, capped at the model's depth;
@@ -107,16 +104,11 @@ class HistoryWindow:
             raise UsageError(
                 f"window holds {len(self.states)} states, capacity {self.capacity}"
             )
-        _set(self, "key", state_key(self.states) if self.states else None)
+        object.__setattr__(self, "key", state_key(self.states) if self.states else None)
 
     def push(self, state: StateVector) -> "HistoryWindow":
-        """New window with ``state`` appended and the oldest entry dropped."""
-        window = object.__new__(HistoryWindow)
-        states = (self.states + (state,))[-self.capacity :]
-        _set(window, "capacity", self.capacity)
-        _set(window, "states", states)
-        _set(window, "key", state_key(states))
-        return window
+        """New window with ``state`` appended and the oldest entry dropped, built by the constructor."""
+        return HistoryWindow(self.capacity, (self.states + (state,))[-self.capacity :])
 
     def __len__(self) -> int:
         return len(self.states)

@@ -146,7 +146,8 @@ class TransitionModel:
 
 
 def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[Prospect]:
-    """All recorded successors of the history with utility and probability.
+    """All recorded successors of the history, each with the utility and
+    probability ``observe`` filed under its :meth:`TransitionModel.successor_key`.
 
     Empty when the history was never seen.  Ordering is deterministic:
     descending utility x probability, ties broken by ascending successor
@@ -160,12 +161,9 @@ def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[P
         return []
     probability = model.probabilities(hk)
     row_u = model.utility[hk]
-    # ``observe`` files the tables and the index under the same state key, so
-    # under state keying the index key is the table key.
-    by_action = model.successor_keying == SUCCESSOR_KEYING_ACTION
     ranked = []
     for skey, state in states.items():
-        k = model.successor_key(state) if by_action else skey
+        k = model.successor_key(state)
         u = row_u[k]
         p = probability[k]
         # A row's keys are unique, so the prospect itself is never compared.

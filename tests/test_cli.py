@@ -845,3 +845,11 @@ def test_each_config_bound_runs_at_its_edge_and_is_a_config_error_past_it(tmp_pa
     assert main(["run", "--config", _edge_config(tmp_path, field, past), "--out", str(past_out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
     assert not past_out.exists()
+
+
+def test_a_level_count_where_one_snaps_past_one_runs_and_replays(tmp_path):
+    """At 6691973981075823 need levels a full channel snaps to 1.0000000000000002 before its clamp."""
+    out = tmp_path / "out"
+    config = write_json(tmp_path / "config.json", {"ticks": 20, "board": {"need_levels": 6691973981075823}})
+    assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert main(["replay", "--snapshot", str(out / "snapshot.json")]) == EXIT_OK

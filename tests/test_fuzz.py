@@ -8,15 +8,23 @@ for snapshots.  Any other exception would end the CLI in a traceback.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import math
+import os
+import re
 import sys
+import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from needagent.cli import EXIT_CONFIG, EXIT_OK, main
+from needagent.decision import MODES
 from needagent.harness import (
+    _FIELDS,
     CSV_COLUMNS,
     ConfigError,
     config_from_dict,
@@ -27,6 +35,7 @@ from needagent.harness import (
     verify_snapshot,
 )
 from needagent.memory import SnapshotError, dumps_snapshot, loads_snapshot, record_to_dict, schema_to_dict
+from needagent.model import STRATEGIES, SUCCESSOR_KEYINGS
 
 # Any JSON value, NaN and the infinities included: ``json.load`` accepts
 # them in config files, and they reach ``loads_snapshot`` as bare tokens.
@@ -273,3 +282,82 @@ def test_metrics_from_csv_reads_only_what_the_writer_writes(line, column, cell):
     except ConfigError:
         return
     assert metrics_to_csv(rows) == text
+
+
+# ----------------------------------------------------------------------
+# whole configs drawn from the edges of the domain, through the CLI
+# ----------------------------------------------------------------------
+
+# Zero, one, powers of ten (past float range from 10**309), the largest and the least positive float, an
+# integer beyond float range, and a level count at which 1.0 snaps past 1.0 before quantize's last clamp.
+_EDGE = (st.sampled_from([0, 1, sys.float_info.max, 5e-324, 2**1024, 6691973981075823])
+         | st.integers(0, 310).map(lambda k: 10**k))
+_NUMERIC_ROWS = ("seed", "board.width", "board.height", "board.racket_width", "board.feedback_delay",
+                 "board.need_levels", "profile.energy_weight", "window_size", "policy.exploration_rate",
+                 "learning.utility_step", "learning.predictability_weight", "gc.horizon", "gc.min_trust",
+                 "gc.interval")
+_WEIGHTS = st.lists(_EDGE, min_size=4, max_size=4)
+_ROW_VALUES = {**{path: _EDGE for path in _NUMERIC_ROWS},
+               "profile.weights": _WEIGHTS,
+               "strategy": st.sampled_from(STRATEGIES),
+               "policy.mode": st.sampled_from(MODES),
+               "learning.successor_keying": st.sampled_from(SUCCESSOR_KEYINGS)}
+# Labels may repeat, which ``sweep`` rejects.
+_PROFILE_ENTRIES = st.lists(st.fixed_dictionaries({"label": st.sampled_from(["a", "b"]), "weights": _WEIGHTS},
+                                                  optional={"energy_weight": _EDGE}), min_size=1, max_size=2)
+_PATH = r"[a-z_]+(\[\d+\])?(\.[a-z_]+(\[\d+\])?)*"
+# A sweep names the profile and seed of a run whose learned utilities overflowed, then the fields to blame.
+_CONFIG_ERROR = re.compile(rf"config error: (profile '\w+' seed \d+: )?{_PATH}(, {_PATH})*: ")
+
+
+@st.composite
+def edge_configs(draw) -> dict:
+    """A config with ``ticks`` from {0, 1, 20} and any subset of the other rows, each at an edge value."""
+    config: dict = {"ticks": draw(st.sampled_from([0, 1, 20]))}
+    for path in sorted(draw(st.sets(st.sampled_from(sorted(_ROW_VALUES))))):
+        section, _, key = path.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[key] = draw(_ROW_VALUES[path])
+    return config
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    """The exit code and standard error of one CLI call; an exception propagates as a traceback would."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+def _assert_wrote_all_or_nothing(argv: list[str], out: str, names: list[str]) -> int:
+    code, err = _main([*argv, "--out", out])
+    if code == EXIT_OK:
+        assert sorted(os.listdir(out)) == names
+    else:
+        assert code == EXIT_CONFIG and _CONFIG_ERROR.match(err), err
+        assert not os.path.exists(out)
+    return code
+
+
+def test_the_edge_configs_draw_every_config_row():
+    assert {"ticks", "out_dir", *_ROW_VALUES} == {path for path, _, _ in _FIELDS}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=edge_configs(), profiles=_PROFILE_ENTRIES)
+@example(config={"ticks": 20, "board": {"need_levels": 6691973981075823}}, profiles=[{"label": "a", "weights": [1] * 4}])
+def test_an_edge_config_runs_and_replays_or_is_a_named_config_error(config, profiles):
+    """``run`` then ``replay``, ``sweep`` over two seeds and a 20-tick ``baseline`` each exit 0 or name the bad field,
+    and a command writes all of its files or none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "config.json")
+        profiles_path = os.path.join(tmp, "profiles.json")
+        for path, payload in ((config_path, config), (profiles_path, profiles)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        out = os.path.join(tmp, "run")
+        if _assert_wrote_all_or_nothing(["run", "--config", config_path], out,
+                                        ["metrics.csv", "snapshot.json"]) == EXIT_OK:
+            assert _main(["replay", "--snapshot", os.path.join(out, "snapshot.json")]) == (EXIT_OK, "")
+        _assert_wrote_all_or_nothing(["sweep", "--config", config_path, "--profiles", profiles_path, "--seeds", "0..1"],
+                                     os.path.join(tmp, "sweep"), ["sweep_runs.csv", "sweep_summary.csv"])
+        code, err = _main(["baseline", "--config", config_path, "--ticks", "20"])
+        assert code == EXIT_OK or code == EXIT_CONFIG and _CONFIG_ERROR.match(err), err

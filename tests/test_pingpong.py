@@ -6,7 +6,7 @@ from operator import eq
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needagent import pingpong
@@ -94,6 +94,16 @@ def test_quantize_error_is_at_most_half_a_level(value, levels):
     snapped = quantize(value, levels)
     assert 0.0 <= snapped <= 1.0
     assert abs(snapped - value) <= 0.5 / levels + 1e-12
+
+
+# For an odd level count between 2**52 and 2**53, ``levels + 0.5`` rounds up
+# to ``levels + 1``, so 1.0 snaps to ``(levels + 1) / levels`` and only the
+# final clamp keeps it in range: at 6691973981075823 levels that is
+# 1.0000000000000002.
+@given(value=st.floats(allow_nan=False), levels=st.integers(min_value=1, max_value=10**300))
+@example(value=1.0, levels=6691973981075823)
+def test_quantize_stays_in_the_unit_interval(value, levels):
+    assert 0.0 <= quantize(value, levels) <= 1.0
 
 
 # ----------------------------------------------------------------------
