@@ -31,7 +31,7 @@ MODES = (MODE_PROSPECTED, MODE_UTILITY_ONLY, MODE_LEXICOGRAPHIC)
 
 
 class DecisionError(RuntimeError):
-    """No constraint-satisfying action exists."""
+    """There is no state to decide from: the history window is empty."""
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,9 @@ class Decision(NamedTuple):
     explored: bool
 
 
-# One order key per policy mode; the smallest key wins.  The first entry is
-# the negated score, lexicographic mode adds probability as a tie key rather
-# than as part of the score, and equal ranks fall back to the smaller
-# successor key.
+# The decision rule, one order key per policy mode: the smallest key wins.  The
+# first entry is the negated score, lexicographic mode adds probability as a tie
+# key, and equal ranks fall back to the successor key, which is unique in a row.
 _ORDER = {
     MODE_PROSPECTED: lambda p: (-(p.utility * p.probability), p.sort_key),
     MODE_UTILITY_ONLY: lambda p: (-p.utility, p.sort_key),
@@ -73,20 +72,18 @@ def action_candidates(
 
     Only constraint pairs that lie entirely inside the action partition can
     be checked against a bare action vector; pairs involving sensor or need
-    variables are resolved by the environment, not here.
+    variables are resolved by the environment, not here.  Never empty: only an
+    active first variable breaks a pair, so the all-off vector (or ``()``) holds.
     """
     offset = len(schema.feelings)
     n = len(schema.actions)
     inside = constraints.within(range(offset, offset + n))
     feelings = (0,) * offset  # canonical indices put the feelings first
-    candidates = [
+    return [
         bits
         for bits in itertools.product((False, True), repeat=n)
         if pairs_hold(feelings + bits, inside)
     ]
-    if not candidates:
-        raise DecisionError("no action vector satisfies the constraints")
-    return candidates
 
 
 _last: tuple = (None, None, ())  # the schema and constraints ``decide`` explored with last, and their actions
@@ -113,8 +110,9 @@ def decide(
 
     With probability ``exploration_rate`` (and always when the history has no
     recorded successors, or none that satisfy the constraints) a uniformly
-    random legal action is taken.  Otherwise the constraint-satisfying
-    prospect with the best score wins and its action sub-vector is committed.
+    random legal action is taken; it expects the matching prospect that utility
+    x probability ranks first, in every mode.  Otherwise the constraint-satisfying
+    prospect that the mode ranks first wins and its action sub-vector is committed.
     """
     if len(history) == 0:
         raise DecisionError("cannot decide on an empty history window")
@@ -126,7 +124,7 @@ def decide(
     if explore_draw or not valid:
         candidates = _legal_actions(schema, constraints)
         chosen = candidates[rng.randrange(len(candidates))]
-        expected = next((p for p in valid if p.state.actions == chosen), None)
+        expected = min((p for p in valid if p.state.actions == chosen), key=_ORDER[MODE_PROSPECTED], default=None)
         if expected is None:
             return Decision(chosen, None, 0.0, True)
         return Decision(chosen, expected.state, -order(expected)[0], True)

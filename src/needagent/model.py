@@ -146,12 +146,10 @@ class TransitionModel:
 
 
 def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[Prospect]:
-    """All recorded successors of the history, each with the utility and
-    probability ``observe`` filed under its :meth:`TransitionModel.successor_key`.
+    """All recorded successors of the history in the row's order, each with the
+    utility and probability ``observe`` filed under its :meth:`TransitionModel.successor_key`.
 
-    Empty when the history was never seen.  Ordering is deterministic:
-    descending utility x probability, ties broken by ascending successor
-    state key.
+    Empty when the history was never seen.  Only ``decide`` ranks prospects.
     """
     if len(history) == 0:
         raise UsageError("cannot predict from an empty history window")
@@ -161,15 +159,11 @@ def predict_successors(model: TransitionModel, history: HistoryWindow) -> list[P
         return []
     probability = model.probabilities(hk)
     row_u = model.utility[hk]
-    ranked = []
+    prospects = []
     for skey, state in states.items():
         k = model.successor_key(state)
-        u = row_u[k]
-        p = probability[k]
-        # A row's keys are unique, so the prospect itself is never compared.
-        ranked.append((-(u * p), skey, Prospect(state, u, p, skey)))
-    ranked.sort()
-    return [entry[2] for entry in ranked]
+        prospects.append(Prospect(state, row_u[k], probability[k], skey))
+    return prospects
 
 
 # ======================================================================

@@ -182,6 +182,16 @@ def test_lexicographic_mode_breaks_utility_ties_by_probability():
     assert plain.chosen_action == (False, False)
 
 
+def test_equal_ranks_pick_the_smaller_successor_key():
+    # The larger key is recorded first, so a choice by row order would fail.
+    late = make_state(pos=2, tick=1)
+    early = make_state(pos=1, grab=True, tick=1)
+    for keying, mode in itertools.product(SUCCESSOR_KEYINGS, MODES):
+        model, window = observed_model([(late, 1.0, 1), (early, 1.0, 1)], keying)
+        made = decide(model, window, NO_CONSTRAINTS, exploit_policy(mode), Random(0))
+        assert made.expected_state == early, (keying, mode)
+
+
 def test_exploit_is_scale_invariant():
     model, window = _three_way_model()
     before = decide(model, window, NO_CONSTRAINTS, exploit_policy(MODE_PROSPECTED), Random(0))
@@ -242,6 +252,25 @@ def test_exploration_reports_the_matching_prospect_when_one_exists():
             assert decision.expected_state.actions == decision.chosen_action
             seen_match = True
     assert seen_none and seen_match
+
+
+@pytest.mark.parametrize("mode,score", [(MODE_PROSPECTED, 0.75), (MODE_UTILITY_ONLY, 1.0), (MODE_LEXICOGRAPHIC, 1.0)])
+def test_exploration_expects_the_match_that_utility_times_probability_ranks_first(mode, score):
+    # Two go-states: B, recorded first, has the higher utility (2.0 * 1/4);
+    # A has the higher utility x probability (1.0 * 3/4).
+    b = make_state(pos=1, go=True, tick=1)
+    a = make_state(pos=2, go=True, tick=1)
+    model, window = observed_model([(b, 2.0, 1), (a, 1.0, 3)])
+    policy = DecisionPolicy(mode=mode, exploration_rate=1.0)
+    went = 0
+    for seed in range(40):
+        made = decide(model, window, NO_CONSTRAINTS, policy, Random(seed))
+        if made.chosen_action == a.actions:
+            went += 1
+            assert made.expected_state == a
+            # The score is still the expected state's rank under the run's mode.
+            assert made.score == score
+    assert went
 
 
 def test_a_decision_is_an_immutable_tuple_with_the_old_fields():

@@ -1,4 +1,4 @@
-"""Pinned output bytes: metrics CSV and snapshot hashes of six small runs.
+"""Pinned output bytes: metrics CSV and snapshot hashes of seven small runs.
 
 Any change to keys, tables, decisions or serialization that moves a single
 byte of either output fails here.  The hashes were taken from the
@@ -60,6 +60,15 @@ GOLDEN = (
         {"learning": {"predictability_weight": 0.5}, "board": {"feedback_delay": 2}},
         "58cfc17112ebfd0a83d04ac33fe65ecd4160f5e8c7e6c18815675d3b98a6b093",
         "c2d0303cebd23e3e3859100ecbaf9ef4adce294b38d59d076ba391e9a8f2da6f",
+    ),
+    # The only pin in utility-only mode, where an exploring tick's expected
+    # state (the match that utility x probability ranks first) can differ
+    # from the match that the run's own mode ranks first.
+    (
+        "utility-only-explore",
+        {"policy": {"mode": "utility-only", "exploration_rate": 0.3}},
+        "7930b4e86de9998afb8229154bfe3fc2987af74b442f6750e3fb3daf2eece013",
+        "33c698262cbd44e2f095342f9a3942d25b76bc8a8b684d93d16e19400f66c117",
     ),
 )
 

@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import os
+import sys
 import tracemalloc
 from contextlib import contextmanager
 
@@ -722,6 +723,9 @@ def long_run(request):
 
 def test_dumps_snapshot_peaks_below_four_times_its_text(long_run):
     snapshot = harness.snapshot_from_run(long_run)
+    # A line tracer's frames would count toward the peak, so none runs here.
+    tracer = sys.gettrace()
+    sys.settrace(None)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -729,6 +733,7 @@ def test_dumps_snapshot_peaks_below_four_times_its_text(long_run):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+        sys.settrace(tracer)
     # A whole payload tree encoded at once peaked at 9.35x (default) and 6.65x (window 3) the text.
     assert peak < 4 * len(text), peak / len(text)
 

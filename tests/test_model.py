@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import needagent.model as model_module
-from needagent.core import PriorityProfile, UsageError, reinforcement, state_distance, state_key
+from needagent.core import ConstraintMatrices, PriorityProfile, UsageError, reinforcement, state_distance, state_key
+from needagent.decision import MODES, DecisionPolicy, decide
 from needagent.harness import RunConfig, run
 from needagent.memory import EpisodeLog, HistoryWindow, Segment, TransitionRecord
 from needagent.model import (
@@ -157,7 +159,14 @@ def test_action_keying_collapses_successors_to_action_vectors():
 # ----------------------------------------------------------------------
 
 
-def test_predict_successors_orders_by_expected_value():
+def by_key(prospects: list[Prospect]) -> dict[str, Prospect]:
+    """The prospects keyed by their sort key, which is unique in a row."""
+    keyed = {p.sort_key: p for p in prospects}
+    assert len(keyed) == len(prospects)
+    return keyed
+
+
+def test_predict_successors_pairs_each_successor_with_its_utility_and_probability():
     model = TransitionModel()
     window = HistoryWindow(1).push(make_state())
     x = make_state(pos=1, tick=1)
@@ -165,21 +174,10 @@ def test_predict_successors_orders_by_expected_value():
     model.observe(window, x, 10.0, 1.0)
     model.observe(window, y, 4.0, 1.0)
     model.observe(window, y, 4.0, 1.0)
-    prospects = predict_successors(model, window)
-    # 10 * 1/3 beats 4 * 2/3 despite the lower probability.
-    assert [p.state.feelings[0] for p in prospects] == [1, 2]
-    assert prospects[0].utility == 10.0
-    assert prospects[0].probability == pytest.approx(1 / 3)
-    assert prospects[1].probability == pytest.approx(2 / 3)
-
-
-def test_predict_successors_breaks_ties_by_ascending_key():
-    model = TransitionModel()
-    window = HistoryWindow(1).push(make_state())
-    model.observe(window, make_state(pos=2, tick=1), 1.0, 1.0)
-    model.observe(window, make_state(pos=1, tick=1), 1.0, 1.0)
-    prospects = predict_successors(model, window)
-    assert [p.sort_key for p in prospects] == ["1,0", "2,0"]
+    assert by_key(predict_successors(model, window)) == {
+        x.key: Prospect(x, 10.0, 1 / 3, x.key),
+        y.key: Prospect(y, 4.0, 2 / 3, y.key),
+    }
 
 
 def test_action_keying_ranks_states_that_share_an_action_by_state_key():
@@ -190,11 +188,15 @@ def test_action_keying_ranks_states_that_share_an_action_by_state_key():
     model.observe(window, late, 3.0, 1.0)
     model.observe(window, early, 1.0, 1.0)
     model.observe(window, make_state(pos=3, tick=1), 1.0, 1.0)
-    first, second, third = predict_successors(model, window)
+    prospects = by_key(predict_successors(model, window))
     # Both go-states read the one (go) row entry: utility 1.0, probability 2/3.
-    assert (first.state, second.state) == (early, late)
-    assert (first.utility, first.probability) == (second.utility, second.probability) == (1.0, 2 / 3)
-    assert third.sort_key == "3,0"
+    for state in (early, late):
+        assert prospects[state.key] == Prospect(state, 1.0, 2 / 3, state.key)
+    # So they tie in every mode, and the smaller state key wins.
+    constraints = ConstraintMatrices.empty(early.schema.width)
+    for mode in MODES:
+        made = decide(model, window, constraints, DecisionPolicy(mode=mode, exploration_rate=0.0), Random(0))
+        assert made.expected_state == early, mode
 
 
 def test_a_prospect_is_an_immutable_tuple_with_the_old_fields():
@@ -207,19 +209,16 @@ def test_a_prospect_is_an_immutable_tuple_with_the_old_fields():
 
 
 def reference_prospects(model: TransitionModel, history: HistoryWindow) -> list[Prospect]:
-    """The ranking as first written: one keyed lookup per successor, then a
-    sort on descending utility x probability and ascending state key."""
+    """The prospects as first written: one keyed lookup per successor."""
     states = model.successor_states.get(history.key)
     if not states:
         return []
     probability = model.probabilities(history.key)
     row_u = model.utility[history.key]
-    prospects = [
+    return [
         Prospect(state, row_u[model.successor_key(state)], probability[model.successor_key(state)], skey)
         for skey, state in states.items()
     ]
-    prospects.sort(key=lambda p: (-(p.utility * p.probability), p.sort_key))
-    return prospects
 
 
 _states = st.builds(
@@ -246,7 +245,7 @@ def test_predict_successors_matches_the_reference_ranking(keying, window_size, h
     for which, state, l_value, step in observations:
         model.observe(windows[which % len(windows)], state, float(l_value), step)
     for window in windows:
-        assert predict_successors(model, window) == reference_prospects(model, window)
+        assert by_key(predict_successors(model, window)) == by_key(reference_prospects(model, window))
 
 
 def test_predict_successors_empty_for_unknown_history():

@@ -12,10 +12,6 @@ code object, nested ones included) but that never ran.  Code run in a
 subprocess, such as ``python -m needagent``, is not seen.  A final line gives
 the counts, pytest's exit code and the wall time.  The census exits 1 if a line
 never ran, else 0, or with pytest's own code if pytest could not run the tests.
-A failing test does not fail the census: the tests that bound
-``dumps_snapshot``'s memory peak with ``tracemalloc`` fail under any line
-tracer, whose frame objects count toward the peak, yet every line they reach
-still runs.
 
 It needs nothing beyond the standard library and pytest, and it is not part of
 the test suite; a traced run takes several times as long as a plain one.
