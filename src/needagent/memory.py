@@ -20,6 +20,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -352,12 +353,12 @@ _RECORD_KEYS, _record, _RECORD_ATTRS = frozenset(_RECORD_FIELDS), itemgetter(*_R
 
 
 def _log(schema: StateSchema):
-    """Parser for a log's records, whose states are built on ``schema``, in one pass that names the first fault
-    in log order.  One parser per record field reads a record in the shape ``dumps_snapshot`` writes, called in
-    record order; the record table runs the same parsers only on a record they rejected, to name its first bad
-    field.  A canonical state (:func:`_canonical_state`) that ``==`` the one read last at its tick is that same
-    object, as in a live run: a record's state is the previous one's next state, and a prediction is a stored
-    successor.  Any other state is read by the state table, never shared."""
+    """Parser for a log's records, whose states are built on ``schema``, in one pass that names the first fault in
+    log order and clears each list slot once its record is built and its tick checked.  One parser per record field
+    reads a record in the shape ``dumps_snapshot`` writes, in record order; the record table runs them again only on
+    a record they rejected, to name its first bad field.  A canonical state (:func:`_canonical_state`) that ``==``
+    the one read last at its tick is that same object, as in a live run: a record's state is the previous one's next
+    state, and a prediction is a stored successor.  Any other state is read by the state table, never shared."""
 
     def build(f, a, y, tick) -> StateVector:
         return StateVector(schema, tuple(f), tuple(map(bool, a)), tuple(y), tick)
@@ -407,6 +408,7 @@ def _log(schema: StateSchema):
                 raise
             out.append(rec)
             last = rec.tick
+            log[i] = None
         return out
 
     return records
@@ -414,8 +416,9 @@ def _log(schema: StateSchema):
 
 @collector_paused()
 def loads_snapshot(text: str) -> MemorySnapshot:
+    """The snapshot ``text`` holds, every field checked; equal number texts share one float, made per load."""
     try:
-        payload = json.loads(text, parse_constant=_reject_constant)
+        payload = json.loads(text, parse_constant=_reject_constant, parse_float=cache(float))
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"not valid JSON: {exc}") from exc
     values = read(_SNAPSHOT, payload, SnapshotError)

@@ -721,21 +721,58 @@ def long_run(request):
     return harness.run(harness.config_from_dict({"ticks": 3000, **request.param}))
 
 
-def test_dumps_snapshot_peaks_below_four_times_its_text(long_run):
-    snapshot = harness.snapshot_from_run(long_run)
+def traced_peak(call):
+    """``call()`` and the most memory ``tracemalloc`` saw it hold above what was held before it."""
     # A line tracer's frames would count toward the peak, so none runs here.
     tracer = sys.gettrace()
     sys.settrace(None)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        text = dumps_snapshot(snapshot)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
         sys.settrace(tracer)
+
+
+def test_dumps_snapshot_peaks_below_four_times_its_text(long_run):
+    snapshot = harness.snapshot_from_run(long_run)
+    text, peak = traced_peak(lambda: dumps_snapshot(snapshot))
     # A whole payload tree encoded at once peaked at 9.35x (default) and 6.65x (window 3) the text.
     assert peak < 4 * len(text), peak / len(text)
+
+
+def test_loads_snapshot_peaks_below_seven_times_its_text(long_run):
+    text = dumps_snapshot(harness.snapshot_from_run(long_run))
+    _, peak = traced_peak(lambda: loads_snapshot(text))
+    # A float per number and a decoded log kept whole to the end peaked at 9.3x (default) and 8.2x (window 3).
+    assert peak < 7 * len(text), peak / len(text)
+
+
+def test_a_loaded_snapshot_keeps_one_float_per_number_text(long_run):
+    text = dumps_snapshot(harness.snapshot_from_run(long_run))
+    loaded = loads_snapshot(text)
+    levels = [y for rec in loaded.log for s in (rec.state, rec.predicted_next, rec.next_state) if s for y in s.needs]
+    utilities = [u for row in loaded.model_tables["utility"].values() for u in row.values()]
+    for values in (levels, utilities):
+        assert len(values) > len({repr(x) for x in values})
+        assert len({id(x) for x in values}) == len({repr(x) for x in values})
+    assert dumps_snapshot(loaded) == text
+
+
+def test_a_late_bad_record_is_named_after_the_slots_before_it_are_released():
+    log = EpisodeLog(make_record(tick, pos=tick % 4) for tick in range(3000))
+    payload = json.loads(dumps_snapshot(MemorySnapshot(SCHEMA, log, {}, {}, "")))
+    payload["log"][2500]["state"]["y"][0] = "x"
+    text = _canonical(payload)
+    with pytest.raises(SnapshotError) as err:
+        loads_snapshot(text)
+    assert str(err.value) == "log[2500].state.y[0]: expected a finite number, got 'x'"
+    broken = text.replace('"tick":2501}', '"tick":2501}}')  # a record's keys end with its tick
+    assert broken != text
+    with pytest.raises(SnapshotError, match="^not valid JSON: "):
+        loads_snapshot(broken)
 
 
 def test_a_run_keeps_each_sensed_value_once(long_run):
